@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constraints import LinearInequality
-from .errors import DimensionMismatch, RankDeficient
+from .errors import DimensionMismatch
 from .numerics import pseudo_inverse
 from .shapes import ShapeBasis
 
@@ -64,7 +64,7 @@ class AllocationResult:
     eps_ca: np.ndarray
     iterations: int
     active_set: tuple
-    status: str  # Optimal | IterationCap | Infeasible
+    status: str  # Optimal | IterationCap
     delta_u_virtual: np.ndarray = field(default=None, repr=False)
 
 
@@ -104,9 +104,7 @@ class ActiveSetQP:
         while working and np.linalg.matrix_rank(A[working], tol=1e-10) < len(working):
             working.pop()
 
-        iterations = 0
-        for _ in range(self.max_iter):
-            iterations += 1
+        for iterations in range(1, self.max_iter + 1):
             x_eq, lam = self._kkt_solve(H, L, g, A, b, x, working)
             step = x_eq - x
             if np.max(np.abs(step)) <= 1e-12:
@@ -119,25 +117,21 @@ class ActiveSetQP:
                 drop_row = min(candidates)
                 working.remove(drop_row)
                 continue
-            # longest feasible step toward x_eq; blocking-row ties go to
-            # the lowest row index
-            alpha, block = 1.0, -1
+            # longest feasible step toward x_eq: the smallest ratio below
+            # one blocks, and argmin sends exact ties to the lowest row
             Astep = A @ step
-            slack = b - A @ x
-            for i in range(A.shape[0]):
-                if i in working or Astep[i] <= 1e-14:
-                    continue
-                a_i = slack[i] / Astep[i]
-                if a_i < alpha - 1e-12:
-                    alpha, block = a_i, i
-            x = x + max(alpha, 0.0) * step
-            if block >= 0:
+            approaching = Astep > 1e-14
+            approaching[working] = False
+            ratio = np.full(Astep.shape, np.inf)
+            np.divide(b - A @ x, Astep, out=ratio, where=approaching)
+            block = int(np.argmin(ratio))
+            alpha = ratio[block]
+            if alpha < 1.0 - 1e-12:
+                x = x + max(alpha, 0.0) * step
                 working.append(block)
-            elif alpha >= 1.0:
-                # full step with no blocker: loop once more to read the
-                # multipliers at the subproblem minimizer
-                continue
-        return x, iterations, tuple(sorted(working)), "IterationCap"
+            else:
+                x = x + step
+        return x, self.max_iter, tuple(sorted(working)), "IterationCap"
 
     @staticmethod
     def _kkt_solve(H, L, g, A, b, x, working):
@@ -163,24 +157,23 @@ class ActiveSetQP:
         return sol[: H.shape[0]], sol[H.shape[0]:]
 
 
-def _solve_problem(problem, B, A, b, warm_start, solver, du_pref):
-    """Assemble the QP data and run the active-set solver.
+def _objective(problem, B, W2, du_pref):
+    """Hessian and gradient of the allocation QP over the columns of B.
 
     du_pref is the preferred increment the secondary term pulls toward
     (u_star - u0 expressed in the decision space).
     """
-    H = B.T @ problem.W1 @ B + problem.sigma * problem.W2
-    g = -B.T @ problem.W1 @ problem.target - problem.sigma * problem.W2 @ du_pref
-    return solver.solve(H, g, A, b, warm_start=warm_start)
+    H = B.T @ problem.W1 @ B + problem.sigma * W2
+    g = -B.T @ problem.W1 @ problem.target - problem.sigma * W2 @ du_pref
+    return H, g
 
 
 def allocate_qp(problem, solver=None, warm_start=()):
     """Constrained allocation in servo space."""
     solver = solver or ActiveSetQP()
-    A, b = problem.ineq.A, problem.ineq.b
-    x, iterations, active, status = _solve_problem(
-        problem, problem.B_eff, A, b, warm_start, solver,
-        du_pref=problem.u_star - problem.u0,
+    H, g = _objective(problem, problem.B_eff, problem.W2, problem.u_star - problem.u0)
+    x, iterations, active, status = solver.solve(
+        H, g, problem.ineq.A, problem.ineq.b, warm_start=warm_start,
     )
     eps = problem.B_eff @ x - problem.target
     return AllocationResult(
@@ -195,24 +188,23 @@ def allocate_qp_virtual(problem, basis, solver=None, warm_start=()):
     QP searches only q coefficients; the returned increment is mapped
     back to servo space and satisfies the original inequality by
     construction.  The preferred-command pull u_star - u0 is projected
-    into virtual space by least squares.
+    into virtual space by least squares, through the normal equations
+    of Phi (full column rank by construction of the basis), so a zero
+    pull stays exactly zero.
+
+    Precondition: B_eff @ Phi has full row rank.  Both are constant over
+    a run, so the caller checks this once (IndiController does so at
+    construction) rather than on every call.
     """
     solver = solver or ActiveSetQP()
     Phi = basis.Phi if isinstance(basis, ShapeBasis) else np.asarray(basis, dtype=float)
     q = Phi.shape[1]
     B_v = problem.B_eff @ Phi
-    if np.linalg.matrix_rank(B_v, tol=1e-10) < problem.B_eff.shape[0]:
-        raise RankDeficient("effectiveness composed with the shape basis lost row rank")
-    A_v = problem.ineq.A @ Phi
     W2_v = problem.W2 if problem.W2.shape[0] == q else np.eye(q)
-    du_pref_v, *_ = np.linalg.lstsq(Phi, problem.u_star - problem.u0, rcond=None)
-    virtual = AllocationProblem(
-        B_eff=B_v, target=problem.target, W1=problem.W1, W2=W2_v,
-        sigma=problem.sigma, u0=np.zeros(q), u_star=du_pref_v,
-        ineq=LinearInequality(A=A_v, b=problem.ineq.b, row_labels=problem.ineq.row_labels),
-    )
-    x_v, iterations, active, status = _solve_problem(
-        virtual, B_v, A_v, problem.ineq.b, warm_start, solver, du_pref=du_pref_v,
+    du_pref_v = np.linalg.solve(Phi.T @ Phi, Phi.T @ (problem.u_star - problem.u0))
+    H, g = _objective(problem, B_v, W2_v, du_pref_v)
+    x_v, iterations, active, status = solver.solve(
+        H, g, problem.ineq.A @ Phi, problem.ineq.b, warm_start=warm_start,
     )
     delta_u = Phi @ x_v
     eps = problem.B_eff @ delta_u - problem.target

@@ -25,12 +25,8 @@ _METRIC_NAMES = ("red_max_fy", "red_rms_fy", "red_max_mx", "red_rms_mx")
 
 
 def _load_config(path, seed=None):
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        click.echo(f"error: cannot read config: {exc}", err=True)
-        sys.exit(3)
-    cfg = ScenarioConfig.from_yaml(text)
+    """Read the scenario file; run it under _guard so errors map to exit codes."""
+    cfg = ScenarioConfig.from_yaml(Path(path).read_text())
     if seed is not None:
         cfg = replace(cfg, noise=replace(cfg.noise, seed=int(seed)))
     return cfg
@@ -79,7 +75,7 @@ def main():
 @click.option("--seed", default=None, type=int, help="Override the measurement-noise seed.")
 def run(config, out, seed):
     """Run one scenario and write its tick-rate log as CSV."""
-    cfg = _load_config(config, seed)
+    cfg = _guard(lambda: _load_config(config, seed))
 
     def go():
         log, report = run_scenario(cfg)
@@ -100,7 +96,7 @@ def run(config, out, seed):
 @click.option("--seed", default=None, type=int)
 def sweep(config, freqs, out, seed):
     """Gust-frequency sweep; writes a summary table CSV."""
-    cfg = _load_config(config, seed)
+    cfg = _guard(lambda: _load_config(config, seed))
     try:
         freq_list = [float(f) for f in freqs.split(",") if f.strip()]
     except ValueError:
@@ -131,7 +127,7 @@ def sweep(config, freqs, out, seed):
 @click.option("--seed", default=None, type=int)
 def compare(config, controllers, out, seed):
     """Run several controllers against one paired open-loop run."""
-    cfg = _load_config(config, seed)
+    cfg = _guard(lambda: _load_config(config, seed))
     names = [c.strip() for c in controllers.split(",") if c.strip()]
 
     def go():
@@ -155,7 +151,7 @@ def compare(config, controllers, out, seed):
 @click.option("--seed", default=None, type=int)
 def certify(config, seed):
     """Run a scenario and evaluate its boundedness certificates."""
-    cfg = _load_config(config, seed)
+    cfg = _guard(lambda: _load_config(config, seed))
 
     def go():
         log, _ = run_scenario(cfg)

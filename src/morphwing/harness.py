@@ -399,11 +399,11 @@ def _simulate(cfg):
     tick = 0
     for k in range(n_plant):
         t = k * cfg.dt_plant
+        y_ref = ref(t)
         if k % stride == 0:
             y_raw = prev.y_raw if prev is not None else np.zeros(2)
             y_filt = prev.y_filt if prev is not None else np.zeros(2)
             y_true = prev.y_true if prev is not None else np.zeros(2)
-            y_ref = ref(t)
             if ctrl is not None:
                 if is_indi:
                     u = ctrl.step(y_filt, y_ref)
@@ -440,7 +440,7 @@ def _simulate(cfg):
         out = sim.step(u)
         prev = out
         Ytp[k] = out.y_true
-        Yrp[k] = ref(t)
+        Yrp[k] = y_ref
     return RunLog(
         controller=cfg.controller, q=q, t=T, u=U, u_v=UV, y_raw=Yraw, y_filt=Yfilt,
         y_true=Ytrue, y_ref=Yref, alpha_g=Alpha, eps_ca_norm=EpsN, iterations=Iters,
@@ -540,14 +540,8 @@ def certify_run(log, cfg):
     if not cfg.controller.startswith("indi"):
         raise ConfigError("certificates apply to the incremental controller only")
     model = build_model(cfg)
-    scales = np.ones(cfg.plant.m)
-    if cfg.fault.enabled:
-        for i in cfg.fault.failed:
-            scales[i] = 0.0
-        for i, s in cfg.fault.scaled:
-            scales[i] = s
     B_model = model.B_static
-    B_true = model.D @ np.diag(scales)
+    B_true = model.D @ np.diag(build_simulator(cfg, model).actuators.scales)
     K = np.diag([cfg.indi.k_gain, cfg.indi.k_gain])
     cert = certify_bounds(K, B_true, B_model, log.nu_c, log.eps_ca, log.y_true, log.e_log)
     if not cfg.actuators.backlash and not cfg.fault.enabled and not cfg.noise.enabled:

@@ -23,14 +23,8 @@ import numpy as np
 
 from .allocator import AllocationProblem, allocate_qp, allocate_qp_virtual
 from .constraints import assemble, rate_box
-from .errors import GainNotContractive, InfeasibleCurrentState, NotHurwitz
-from .numerics import (
-    LeadLagFilter,
-    SecondOrderFilter,
-    hurwitz_margin,
-    pseudo_inverse,
-    solve_lyapunov,
-)
+from .errors import GainNotContractive, InfeasibleCurrentState, NotHurwitz, RankDeficient
+from .numerics import SecondOrderFilter, hurwitz_margin, pseudo_inverse, solve_lyapunov
 
 
 def pseudo_control(e, y_r_dot, K):
@@ -66,19 +60,15 @@ class LagModel:
         return self.last_output
 
 
-def default_lag_model(dt, channels=2, with_measurement_filter=True, lead=None):
+def default_lag_model(dt, channels=2, with_measurement_filter=True):
     """Lag model of the command-to-measurement chain.
 
-    Servo section, one controller tick of transport delay, the
-    measurement low pass when it is in the loop, and an optional lead
-    section (a, b, gain) shaping the effective loop compensator.
+    Servo section, one controller tick of transport delay, and the
+    measurement low pass when it is in the loop.
     """
     filters = [SecondOrderFilter(0.71, 16.52, dt, channels=channels)]
     if with_measurement_filter:
         filters.append(SecondOrderFilter(0.8, 10.0, dt, channels=channels))
-    if lead is not None:
-        a, b, gain = lead
-        filters.append(LeadLagFilter(a, b, dt, gain=gain, channels=channels))
     return LagModel(filters, delay_ticks=1, channels=channels)
 
 
@@ -87,7 +77,9 @@ class IndiController:
 
     mode selects the allocation route: "pi" (pseudo-inverse, no
     constraints), "qp" (servo-space QP), "qp-v" (QP over virtual shape
-    coefficients; requires basis).
+    coefficients; requires basis).  The pseudo-inverse ("pi") and the
+    row-rank check of B_eff Phi ("qp-v") depend only on constant
+    matrices, so they run once here rather than on every tick.
     """
 
     def __init__(self, B_eff, K, limits, dt, mode="qp-v", basis=None,
@@ -103,6 +95,9 @@ class IndiController:
         self.basis = basis
         if mode == "qp-v" and basis is None:
             raise ValueError("virtual-shape mode needs a basis")
+        if mode == "qp-v" and np.linalg.matrix_rank(self.B_eff @ basis.Phi, tol=1e-10) < p:
+            raise RankDeficient("effectiveness composed with the shape basis lost row rank")
+        self._B_pinv = pseudo_inverse(self.B_eff) if mode == "pi" else None
         self.sigma = sigma
         self.W1 = np.eye(p) if W1 is None else np.asarray(W1, dtype=float)
         if W2 is None:
@@ -140,7 +135,7 @@ class IndiController:
 
         delta_u_virtual = None
         if self.mode == "pi":
-            delta_u = pseudo_inverse(self.B_eff) @ target
+            delta_u = self._B_pinv @ target
             u = np.clip(self.u_prev + delta_u, self.limits.u_min, self.limits.u_max)
             eps_ca = self.B_eff @ (u - self.u_prev) - target
             iterations, active, status = 0, (), "Optimal"
@@ -158,11 +153,8 @@ class IndiController:
             else:
                 res = allocate_qp(problem, warm_start=self._warm)
             self._warm = res.active_set
-            if res.status == "Infeasible":
-                u, eps_ca = self.u_prev.copy(), -target
-            else:
-                u = self.u_prev + res.delta_u
-                eps_ca = res.eps_ca
+            u = self.u_prev + res.delta_u
+            eps_ca = res.eps_ca
             iterations, active, status = res.iterations, res.active_set, res.status
             delta_u_virtual = res.delta_u_virtual
 

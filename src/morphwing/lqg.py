@@ -40,12 +40,6 @@ def perturb_model(model, rel=0.1, seed=0):
                        C=p(model.C), D=p(model.D))
 
 
-def exact_model(model):
-    """Design model equal to the truth (the idealized comparison case)."""
-    return DesignModel(A=model.A.copy(), B=model.B.copy(), B_g=model.B_g.copy(),
-                       C=model.C.copy(), D=model.D.copy())
-
-
 @dataclass
 class LqrDesign:
     A_aug: np.ndarray

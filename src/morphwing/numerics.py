@@ -168,48 +168,11 @@ class SecondOrderFilter:
         self.state[1] = self.b[2] * x - self.a[1] * y
         return y
 
-    def reset(self):
-        self.state = np.zeros_like(self.state)
-
     def continuous_magnitude(self, w):
         """|H(jw)| of the underlying continuous-time filter."""
         num = self.omega ** 2
         den = complex(self.omega ** 2 - w ** 2, 2.0 * self.zeta * self.omega * w)
         return abs(num / den)
-
-
-class LeadLagFilter:
-    """Bilinear-discretized first-order section g (1 + s/a) / (1 + s/b).
-
-    a < b gives phase lead between the corner frequencies, a > b phase
-    lag; DC gain is g.  Supports vector channels like SecondOrderFilter.
-    """
-
-    def __init__(self, a, b, dt, gain=1.0, channels=1):
-        if not (a > 0.0 and b > 0.0 and dt > 0.0):
-            raise BadSampling("a, b, dt must all be positive")
-        k = 2.0 / dt
-        self.a_z = a
-        self.b_z = b
-        self.gain = gain
-        scale = gain * b / a
-        d0 = b + k
-        self.num = scale * np.array([a + k, a - k]) / d0
-        self.den = (b - k) / d0
-        self.state = np.zeros(channels) if channels > 1 else 0.0
-
-    def step(self, x):
-        y = self.num[0] * x + self.state
-        self.state = self.num[1] * x - self.den * y
-        return y
-
-    def reset(self):
-        self.state = np.zeros_like(self.state) if np.ndim(self.state) else 0.0
-
-
-def discretize_filter(zeta, omega, dt, channels=1):
-    """Build a bilinear-discretized second-order low-pass filter."""
-    return SecondOrderFilter(zeta, omega, dt, channels=channels)
 
 
 def integrate_step(f, x, u, dt):

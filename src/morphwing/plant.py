@@ -100,13 +100,6 @@ def synthesize_wing_model(m=12, n_modes=2, locations=None, half_span=1.8,
     return WingModel(A=A, B=B, B_g=B_g, C=C, D=D, B_static=B_static, locations=locations)
 
 
-def freeplay(u, k1, k2, u_f_plus, u_f_minus):
-    """Memoryless deadband map: zero inside, linear engagement outside."""
-    u = np.asarray(u, dtype=float)
-    return np.where(u > u_f_plus, k2 * (u - u_f_plus),
-                    np.where(u < u_f_minus, k1 * (u - u_f_minus), 0.0))
-
-
 def backlash_step(tau, u, k1, k2, u_f_plus, u_f_minus):
     """One sample of the velocity-driven backlash law.
 

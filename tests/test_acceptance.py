@@ -26,7 +26,7 @@ from morphwing.numerics import integrate_step, pseudo_inverse, solve_care, solve
 from morphwing.plant import ActuatorBank, synthesize_wing_model
 from morphwing.shapes import build_basis
 
-from test_allocator import cvxpy_objective, make_problem, qp_objective
+from test_allocator import make_problem, nnls_objective, qp_objective
 
 
 def report(num, name, ok, detail=""):
@@ -98,7 +98,7 @@ def test_criterion_01_allocator_oracle():
                                adj=rng.uniform(0.5, 10.0))
         res = allocate_qp(problem)
         obj = qp_objective(problem, res.delta_u)
-        ref, _ = cvxpy_objective(problem)
+        ref, _ = nnls_objective(problem)
         worst_gap = max(worst_gap, obj - ref)
         worst_viol = max(worst_viol, float(np.max(problem.ineq.A @ res.delta_u - problem.ineq.b)))
     elapsed = time.perf_counter() - t0

@@ -1,5 +1,6 @@
 import numpy as np
-import pytest
+from scipy.linalg import cho_solve, solve_triangular
+from scipy.optimize import nnls
 
 from morphwing.allocator import (
     ActiveSetQP,
@@ -10,8 +11,6 @@ from morphwing.allocator import (
 )
 from morphwing.constraints import InputLimits, assemble
 from morphwing.shapes import build_basis
-
-cvxpy = pytest.importorskip("cvxpy")
 
 LOCS12 = np.linspace(0.15, 1.8, 12)
 
@@ -38,23 +37,39 @@ def make_problem(m=4, seed=0, sigma=1e-3, target=None, u0=None, u_star=None,
     )
 
 
-def cvxpy_objective(problem, B=None, A=None, n=None):
-    """High-accuracy reference optimum of the same QP."""
+def nnls_objective(problem, B=None, A=None, n=None):
+    """Exact reference optimum of the same QP, as (objective value, x).
+
+    The QP min 0.5 x'Hx + g'x s.t. A x <= b is posed as a least-distance
+    program: with H = L L' and z = L'x + L^-1 g it is min |z| s.t.
+    G z >= h, G = -A L'^-1, h = -b - A H^-1 g.  Non-negative least squares
+    on [G'; h'] w ~ e_last solves that exactly in finitely many steps
+    (Lawson & Hanson, Solving Least Squares Problems, 1974, ch. 23), by
+    an algorithm that shares nothing with the active-set solver under test.
+    """
     B = problem.B_eff if B is None else B
     A = problem.ineq.A if A is None else A
     n = B.shape[1] if n is None else n
-    x = cvxpy.Variable(n)
-    resid = B @ x - problem.target
     du_pref = problem.u_star - problem.u0
     if du_pref.size != n:
         du_pref = np.zeros(n)
+    W2 = np.eye(n) if problem.W2.shape[0] != n else problem.W2
+    H = B.T @ problem.W1 @ B + problem.sigma * W2
+    g = -B.T @ problem.W1 @ problem.target - problem.sigma * W2 @ du_pref
+    L = np.linalg.cholesky(H)
+    G = -solve_triangular(L, A.T, lower=True).T
+    h = -problem.ineq.b - A @ cho_solve((L, True), g)
+    E = np.vstack([G.T, h[None, :]])
+    f = np.zeros(n + 1)
+    f[-1] = 1.0
+    w, _ = nnls(E, f, maxiter=50 * E.shape[1])
+    r = E @ w - f
+    assert abs(r[-1]) > 1e-14, "least-distance program infeasible"
+    z = -r[:-1] / r[-1]
+    x = solve_triangular(L.T, z - solve_triangular(L, g, lower=True), lower=False)
+    resid = B @ x - problem.target
     pull = x - du_pref
-    obj = 0.5 * cvxpy.quad_form(resid, problem.W1) + 0.5 * problem.sigma * cvxpy.quad_form(
-        pull, np.eye(n) if problem.W2.shape[0] != n else problem.W2
-    )
-    prob = cvxpy.Problem(cvxpy.Minimize(obj), [A @ x <= problem.ineq.b])
-    prob.solve(solver=cvxpy.CLARABEL)
-    return prob.value, x.value
+    return 0.5 * resid @ problem.W1 @ resid + 0.5 * problem.sigma * pull @ W2 @ pull, x
 
 
 def qp_objective(problem, x, n=None):
@@ -134,7 +149,7 @@ class TestQP:
             res = allocate_qp(problem)
             assert np.all(problem.ineq.A @ res.delta_u <= problem.ineq.b + 1e-9), k
             obj = qp_objective(problem, res.delta_u)
-            ref, _ = cvxpy_objective(problem)
+            ref, _ = nnls_objective(problem)
             assert obj <= ref + 1e-6, (k, obj, ref)
 
     def test_sigma_monotonicity(self):
@@ -198,7 +213,7 @@ class TestVirtual:
             res = allocate_qp_virtual(problem, basis)
             assert np.all(problem.ineq.A @ res.delta_u <= problem.ineq.b + 1e-9)
 
-    def test_matches_cvxpy_in_virtual_space(self):
+    def test_matches_oracle_in_virtual_space(self):
         basis = build_basis(LOCS12, 1.8, 5)
         rng = np.random.default_rng(60)
         for _ in range(50):
@@ -209,7 +224,7 @@ class TestVirtual:
             res = allocate_qp_virtual(problem, basis)
             B_v = problem.B_eff @ basis.Phi
             A_v = problem.ineq.A @ basis.Phi
-            ref, _ = cvxpy_objective(problem, B=B_v, A=A_v, n=5)
+            ref, _ = nnls_objective(problem, B=B_v, A=A_v, n=5)
             x = res.delta_u_virtual
             resid = B_v @ x - problem.target
             obj = 0.5 * resid @ problem.W1 @ resid + 0.5 * problem.sigma * x @ x
@@ -222,6 +237,17 @@ class TestVirtual:
         xc = 2.0 * basis.xs_norm - 1.0
         coeffs = np.polyfit(xc, res.delta_u, 4)
         assert np.max(np.abs(np.polyval(coeffs, xc) - res.delta_u)) < 1e-10
+
+
+def test_ratio_test_tie_blocks_on_lowest_row():
+    # the unconstrained minimizer is x = (1, 0); rows 2 and 3 are the same
+    # tightest limit x0 <= 0.5, row 0 a looser one, row 1 never approached
+    A = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 0.0]])
+    b = np.array([0.8, 5.0, 0.5, 0.5])
+    x, iterations, active, status = ActiveSetQP().solve(np.eye(2), np.array([-1.0, 0.0]), A, b)
+    assert status == "Optimal"
+    assert active == (2,)
+    np.testing.assert_array_equal(x, [0.5, 0.0])
 
 
 def test_iteration_cap_returns_feasible():

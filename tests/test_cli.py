@@ -25,6 +25,9 @@ def test_bad_config_key_exits_one(tmp_path):
     path.write_text("controler: lqg\n")
     result = CliRunner().invoke(main, ["run", str(path)])
     assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    lines = result.output.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error:"), result.output
 
 
 def test_missing_config_exits_three(tmp_path):

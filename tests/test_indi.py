@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from morphwing.constraints import InputLimits
-from morphwing.errors import GainNotContractive, NotHurwitz
+from morphwing.errors import GainNotContractive, NotHurwitz, RankDeficient
 from morphwing.indi import (
     IndiController,
     LagModel,
@@ -84,6 +84,13 @@ class TestControllerStep:
         with pytest.raises(NotHurwitz):
             IndiController(B, np.diag([-0.1, 0.1]), make_limits(), 0.015,
                            mode="qp", lag_model=None)
+
+    def test_virtual_rank_loss_raises_at_construction(self):
+        # q = 1: B_eff Phi is 2 x 1, so the two loads cannot be set apart
+        B, locs = make_b_eff()
+        with pytest.raises(RankDeficient):
+            IndiController(B, np.diag([0.1, 0.1]), make_limits(), 0.015,
+                           mode="qp-v", basis=build_basis(locs, 1.8, 1), lag_model=None)
 
     def test_on_target_holds_command(self):
         # measurement equals the pseudo-control and the preferred command

@@ -10,7 +10,6 @@ from morphwing.lqg import (
     LqgController,
     design_kalman,
     design_lqr,
-    exact_model,
     perturb_model,
 )
 from morphwing.numerics import care_residual, hurwitz_margin, integrate_step
@@ -42,46 +41,46 @@ def make_limits(m=12):
 class TestPerturbModel:
     def test_zero_relative_error_is_identity(self):
         model, _ = twin_and_basis()
-        p = perturb_model(exact_model(model), rel=0.0, seed=3)
+        p = perturb_model(model, rel=0.0, seed=3)
         assert np.array_equal(p.A, model.A)
         assert np.array_equal(p.B, model.B)
 
     def test_entries_stay_within_band(self):
         model, _ = twin_and_basis()
-        p = perturb_model(exact_model(model), rel=0.2, seed=5)
+        p = perturb_model(model, rel=0.2, seed=5)
         nz = model.B != 0.0
         ratio = p.B[nz] / model.B[nz]
         assert np.all(ratio >= 0.8) and np.all(ratio <= 1.2)
 
     def test_same_seed_reproduces(self):
         model, _ = twin_and_basis()
-        p1 = perturb_model(exact_model(model), rel=0.1, seed=9)
-        p2 = perturb_model(exact_model(model), rel=0.1, seed=9)
+        p1 = perturb_model(model, rel=0.1, seed=9)
+        p2 = perturb_model(model, rel=0.1, seed=9)
         assert np.array_equal(p1.A, p2.A)
 
 
 class TestRegulatorDesign:
     def test_default_weights_design_succeeds(self):
         model, basis = twin_and_basis()
-        lq = design_lqr(exact_model(model), basis.Phi)
+        lq = design_lqr(perturb_model(model, rel=0.0), basis.Phi)
         assert lq.R.shape == (5, 5)
         assert np.allclose(lq.R, 260.0 * np.eye(5))
         assert lq.Q[4:, 4:] == pytest.approx(10.0 * np.eye(2))
 
     def test_riccati_residual_small(self):
         model, basis = twin_and_basis()
-        lq = design_lqr(exact_model(model), basis.Phi)
+        lq = design_lqr(perturb_model(model, rel=0.0), basis.Phi)
         res = care_residual(lq.A_aug, lq.B_aug, lq.Q, lq.R, lq.S)
         assert res <= 1e-8 * max(1.0, float(np.max(np.abs(lq.S))) ** 2)
 
     def test_closed_loop_margin(self):
         model, basis = twin_and_basis()
-        lq = design_lqr(exact_model(model), basis.Phi)
+        lq = design_lqr(perturb_model(model, rel=0.0), basis.Phi)
         assert hurwitz_margin(lq.A_aug + lq.B_aug @ lq.K_X) <= -1e-4
 
     def test_design_on_perturbed_model_succeeds(self):
         model, basis = twin_and_basis()
-        lq = design_lqr(perturb_model(exact_model(model), rel=0.2, seed=13), basis.Phi)
+        lq = design_lqr(perturb_model(model, rel=0.2, seed=13), basis.Phi)
         assert hurwitz_margin(lq.A_aug + lq.B_aug @ lq.K_X) < 0.0
 
 
@@ -93,12 +92,12 @@ class TestFilterDesign:
 
     def test_estimator_is_stable_on_twin(self):
         model, _ = twin_and_basis()
-        kd = design_kalman(exact_model(model), 0.05, np.eye(2), np.zeros(2))
+        kd = design_kalman(perturb_model(model, rel=0.0), 0.05, np.eye(2), np.zeros(2))
         assert hurwitz_margin(model.A - kd.L @ model.C) <= -1e-4
 
     def test_cross_covariance_design_succeeds(self):
         model, _ = twin_and_basis()
-        kd = design_kalman(exact_model(model), 1.02e-5, 0.01 * np.eye(2),
+        kd = design_kalman(perturb_model(model, rel=0.0), 1.02e-5, 0.01 * np.eye(2),
                            1e-5 * np.array([3.16, 3.16]))
         assert hurwitz_margin(model.A - kd.L @ model.C) < 0.0
 
@@ -107,7 +106,7 @@ class TestFilterDesign:
         # indefinite; the design must refuse rather than return garbage
         model, _ = twin_and_basis()
         with pytest.raises(NotDetectable):
-            design_kalman(exact_model(model), 1e-8, 1e-6 * np.eye(2),
+            design_kalman(perturb_model(model, rel=0.0), 1e-8, 1e-6 * np.eye(2),
                           1e-3 * np.array([1.0, 1.0]))
 
     def test_error_covariance_matches_design(self):
@@ -133,7 +132,7 @@ class TestFilterDesign:
         # no process noise and a confident filter: the estimate closes on
         # the true trajectory of the undriven plant
         model, _ = twin_and_basis()
-        kd = design_kalman(exact_model(model), 1e-4, 1e-6 * np.eye(2), np.zeros(2))
+        kd = design_kalman(perturb_model(model, rel=0.0), 1e-4, 1e-6 * np.eye(2), np.zeros(2))
         A, C = model.A, model.C
         L = kd.L
         x = np.array([1.0, 0.0, -1.0, 0.0])
@@ -152,8 +151,8 @@ class TestController:
         # the controller with the true state supplied must reproduce a
         # hand-rolled regulator evaluation exactly
         model, basis = twin_and_basis()
-        lq = design_lqr(exact_model(model), basis.Phi)
-        ctrl = LqgController(lq, exact_model(model), basis.Phi, make_limits(), 0.015)
+        lq = design_lqr(perturb_model(model, rel=0.0), basis.Phi)
+        ctrl = LqgController(lq, perturb_model(model, rel=0.0), basis.Phi, make_limits(), 0.015)
         rng = np.random.default_rng(2)
         z = np.zeros(2)
         prev_int = np.zeros(2)
@@ -173,8 +172,8 @@ class TestController:
 
     def test_integral_action_removes_steady_offset(self):
         model, basis = twin_and_basis()
-        lq = design_lqr(exact_model(model), basis.Phi)
-        ctrl = LqgController(lq, exact_model(model), basis.Phi, make_limits(), 0.001)
+        lq = design_lqr(perturb_model(model, rel=0.0), basis.Phi)
+        ctrl = LqgController(lq, perturb_model(model, rel=0.0), basis.Phi, make_limits(), 0.001)
         x = np.zeros(4)
         u = np.zeros(12)
         y_ref = np.array([10.0, 5.0])
@@ -187,9 +186,9 @@ class TestController:
 
     def test_estimator_substepping_keeps_fast_filters_stable(self):
         model, basis = twin_and_basis()
-        lq = design_lqr(exact_model(model), basis.Phi)
-        kd = design_kalman(exact_model(model), 10.0, 1e-4 * np.eye(2), np.zeros(2))
-        ctrl = LqgController(lq, exact_model(model), basis.Phi, make_limits(),
+        lq = design_lqr(perturb_model(model, rel=0.0), basis.Phi)
+        kd = design_kalman(perturb_model(model, rel=0.0), 10.0, 1e-4 * np.eye(2), np.zeros(2))
+        ctrl = LqgController(lq, perturb_model(model, rel=0.0), basis.Phi, make_limits(),
                              0.015, kalman=kd)
         assert ctrl.n_sub > 1
         for _ in range(50):
@@ -199,11 +198,11 @@ class TestController:
 
     def test_position_saturation_is_flagged(self):
         model, basis = twin_and_basis()
-        lq = design_lqr(exact_model(model), basis.Phi)
+        lq = design_lqr(perturb_model(model, rel=0.0), basis.Phi)
         lim = InputLimits(u_min=-0.01 * np.ones(12), u_max=0.01 * np.ones(12),
                           rate_min=-80.0 * np.ones(12), rate_max=80.0 * np.ones(12),
                           u_adj=55.0 * np.ones(11), dt=0.015)
-        ctrl = LqgController(lq, exact_model(model), basis.Phi, lim, 0.015)
+        ctrl = LqgController(lq, perturb_model(model, rel=0.0), basis.Phi, lim, 0.015)
         u = ctrl.step(np.array([100.0, 50.0]), np.zeros(2),
                       x_true=np.array([5.0, 0.0, 5.0, 0.0]))
         assert ctrl.last["saturated"]

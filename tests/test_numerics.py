@@ -8,7 +8,6 @@ from morphwing.errors import BadSampling, NoStabilizingSolution, NotHurwitz, Ran
 from morphwing.numerics import (
     SecondOrderFilter,
     care_residual,
-    discretize_filter,
     hurwitz_margin,
     integrate_step,
     pseudo_inverse,
@@ -132,19 +131,19 @@ class TestCare:
 
 class TestFilter:
     def test_step_response_dc(self):
-        f = discretize_filter(0.71, 16.52, 0.001)
+        f = SecondOrderFilter(0.71, 16.52, 0.001)
         y = 0.0
         for _ in range(20000):
             y = f.step(1.0)
         assert abs(y - 1.0) < 1e-6
 
     def test_zero_in_zero_out(self):
-        f = discretize_filter(0.8, 10.0, 0.001)
+        f = SecondOrderFilter(0.8, 10.0, 0.001)
         assert f.step(0.0) == 0.0
 
     def test_sine_gain_at_corner(self):
         zeta, omega, dt = 0.71, 16.52, 0.001
-        f = discretize_filter(zeta, omega, dt)
+        f = SecondOrderFilter(zeta, omega, dt)
         t = np.arange(0, 20.0, dt)
         u = np.sin(omega * t)
         y = np.array([f.step(ui) for ui in u])
@@ -154,7 +153,7 @@ class TestFilter:
 
     def test_discrete_matches_continuous_magnitude(self):
         zeta, omega, dt = 0.8, 10.0, 0.001
-        f = discretize_filter(zeta, omega, dt)
+        f = SecondOrderFilter(zeta, omega, dt)
         for w in [1.0, 5.0, 10.0, 50.0, np.pi / (2 * dt)]:
             t = np.arange(0, 30.0, dt)
             g = SecondOrderFilter(zeta, omega, dt)
@@ -164,8 +163,8 @@ class TestFilter:
             assert abs(gain - f.continuous_magnitude(w)) < 0.02 * max(f.continuous_magnitude(w), 1e-3)
 
     def test_vector_channels(self):
-        f = discretize_filter(0.71, 16.52, 0.001, channels=3)
-        g = discretize_filter(0.71, 16.52, 0.001)
+        f = SecondOrderFilter(0.71, 16.52, 0.001, channels=3)
+        g = SecondOrderFilter(0.71, 16.52, 0.001)
         x = np.array([1.0, -2.0, 0.5])
         for _ in range(100):
             yv = f.step(x)
@@ -176,7 +175,7 @@ class TestFilter:
 
     def test_bad_sampling(self):
         with pytest.raises(BadSampling):
-            discretize_filter(0.7, 2000.0, 0.001)
+            SecondOrderFilter(0.7, 2000.0, 0.001)
 
 
 class TestIntegrateStep:

@@ -12,7 +12,6 @@ from morphwing.plant import (
     WingSimulator,
     apply_fault,
     backlash_step,
-    freeplay,
     gust_angle,
     synthesize_wing_model,
 )
@@ -59,15 +58,6 @@ class TestWingModel:
 
 
 class TestDeadbandMaps:
-    def test_freeplay_inside_band_is_zero(self):
-        assert freeplay(0.3, 1.0, 1.0, 0.6, -0.6) == 0.0
-
-    def test_freeplay_positive_engagement(self):
-        assert freeplay(1.0, 1.0, 1.0, 0.6, -0.6) == pytest.approx(0.4)
-
-    def test_freeplay_negative_engagement_with_stiffness(self):
-        assert freeplay(-1.0, 2.0, 1.0, 0.6, -0.6) == pytest.approx(-0.8)
-
     def test_backlash_ramp_up_down_hysteresis(self):
         # drive 0 -> 2 -> 0 with unit stiffness and +/-0.6 deadband:
         # the output peaks at 1.4, holds there until the drive falls to
