@@ -5,7 +5,7 @@ into a single linear inequality A du <= b on the command increment, with
 a fixed row order: position +/-, relative +/-, rate +/-.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +22,9 @@ class InputLimits:
 
     u_min/u_max are angle bounds (deg), rate_min/rate_max are deg/s,
     u_adj bounds |u[i] - u[i+1]| for each adjacent pair (deg, length
-    m-1), dt is the controller period the rate bounds act over.
+    m-1), dt is the controller period the rate bounds act over.  The
+    run-constant parts of A du <= b are built here once, read-only: the
+    adjacency matrix C, the matrix A and the rate rows' b_rate.
     """
 
     u_min: np.ndarray
@@ -49,6 +51,12 @@ class InputLimits:
             raise BadDimension("relative bounds must be positive")
         if self.dt <= 0.0:
             raise BadDimension("dt must be positive")
+        C = adjacency_matrix(m)
+        I = np.eye(m)
+        self.C, self.A = C, np.vstack([I, -I, C, -C, I, -I])
+        self.b_rate = np.concatenate([self.rate_max * self.dt, -self.rate_min * self.dt])
+        for a in (self.C, self.A, self.b_rate):
+            a.flags.writeable = False
 
     @property
     def m(self):
@@ -61,7 +69,6 @@ class LinearInequality:
 
     A: np.ndarray
     b: np.ndarray
-    row_labels: tuple = field(default_factory=tuple)
 
 
 def adjacency_matrix(m):
@@ -81,37 +88,26 @@ def assemble(limits, u0):
     u0 marginally outside the position bounds is clamped first, so the
     rate-limited retreat direction always stays feasible.  If u0 violates
     a relative bound (possible after a fault) the inequality would
-    exclude du = 0; that is surfaced as InfeasibleCurrentState.
+    exclude du = 0; that is surfaced as InfeasibleCurrentState.  A is the
+    limits' shared read-only matrix; b is built fresh on every call.
     """
     u0 = np.clip(np.asarray(u0, dtype=float), limits.u_min, limits.u_max)
     m = limits.m
-    C = adjacency_matrix(m)
-    I = np.eye(m)
-    A = np.vstack([I, -I, C, -C, I, -I])
+    Cu = limits.C @ u0
     b = np.concatenate([
         limits.u_max - u0,
         -limits.u_min + u0,
-        limits.u_adj - C @ u0,
-        limits.u_adj + C @ u0,
-        limits.rate_max * limits.dt,
-        -limits.rate_min * limits.dt,
+        limits.u_adj - Cu,
+        limits.u_adj + Cu,
+        limits.b_rate,
     ])
-    labels = (
-        ["pos+"] * m + ["pos-"] * m
-        + ["rel+"] * (m - 1) + ["rel-"] * (m - 1)
-        + ["rate+"] * m + ["rate-"] * m
-    )
     if np.any(b[2 * m:4 * m - 2] < -POSITION_SLACK):
         raise InfeasibleCurrentState(
             "current command violates a relative-position bound; du = 0 excluded"
         )
-    return LinearInequality(A=A, b=b, row_labels=tuple(labels))
+    return LinearInequality(A=limits.A, b=b)
 
 
 def rate_box(limits):
     """Fallback inequality with only the rate rows (always feasible at 0)."""
-    m = limits.m
-    I = np.eye(m)
-    A = np.vstack([I, -I])
-    b = np.concatenate([limits.rate_max * limits.dt, -limits.rate_min * limits.dt])
-    return LinearInequality(A=A, b=b, row_labels=tuple(["rate+"] * m + ["rate-"] * m))
+    return LinearInequality(A=limits.A[-2 * limits.m:], b=limits.b_rate)

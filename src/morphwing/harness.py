@@ -8,7 +8,7 @@ percentages isolate the controller's contribution.
 """
 
 import math
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 import yaml
@@ -19,9 +19,12 @@ from .indi import IndiController, certify_bounds, default_lag_model, recursion_t
 from .lqg import LqgController, design_kalman, design_lqr, perturb_model
 from .numerics import pseudo_inverse
 from .plant import (
+    SERVO_OMEGA,
+    SERVO_ZETA,
     ActuatorBank,
     GustProfile,
     NoiseModel,
+    PlantOutput,
     WingSimulator,
     apply_fault,
     synthesize_wing_model,
@@ -32,22 +35,37 @@ CONTROLLERS = ("indi-pi", "indi-qp", "indi-qp-v", "lqg", "open-loop")
 COMMAND_PROFILES = ("none", "fy+30%", "fy+35%", "custom")
 
 
-def _from_dict(cls, data):
-    """Build a config dataclass from a mapping, rejecting unknown keys."""
+_KINDS = {float: "a number", int: "an integer", bool: "true or false"}
+
+
+def _scalar(key, ftype, value):
+    """value checked against a scalar field's type; numeric strings become floats."""
+    if ftype is float and type(value) in (int, float, str):
+        try:
+            return float(value)
+        except ValueError:
+            pass
+    elif ftype not in _KINDS or type(value) is ftype:
+        return value
+    raise ConfigError(f"{key} must be {_KINDS[ftype]}, got {value!r}")
+
+
+def _from_dict(cls, data, prefix=""):
+    """Build a config dataclass from a mapping, rejecting unknown keys and
+    scalar values of the wrong type."""
     if not isinstance(data, dict):
         raise ConfigError(f"{cls.__name__} section must be a mapping, got {type(data).__name__}")
-    known = {f.name: f for f in fields(cls)}
+    known = {f.name: f.type for f in fields(cls)}
     unknown = set(data) - set(known)
     if unknown:
         raise ConfigError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
     kwargs = {}
     for name, value in data.items():
-        ftype = known[name].type
-        if isinstance(value, dict) and ftype not in (dict, "dict"):
-            sub = _SECTION_TYPES.get(name)
-            kwargs[name] = _from_dict(sub, value) if sub is not None else value
+        ftype = known[name]
+        if is_dataclass(ftype):
+            kwargs[name] = _from_dict(ftype, value, f"{prefix}{name}.")
         else:
-            kwargs[name] = value
+            kwargs[name] = _scalar(prefix + name, ftype, value)
     return cls(**kwargs)
 
 
@@ -73,8 +91,8 @@ class LimitsConfig:
 
 @dataclass
 class ActuatorConfig:
-    zeta: float = 0.71
-    omega: float = 16.52
+    zeta: float = SERVO_ZETA
+    omega: float = SERVO_OMEGA
     delay: float = 0.015
     backlash: bool = False
     k1: float = 1.0
@@ -149,19 +167,6 @@ class LqgConfig:
     n_k: list = field(default_factory=lambda: [0.0, 0.0])
 
 
-_SECTION_TYPES = {
-    "plant": PlantConfig,
-    "limits": LimitsConfig,
-    "actuators": ActuatorConfig,
-    "gust": GustConfig,
-    "noise": NoiseConfig,
-    "fault": FaultConfig,
-    "command": CommandConfig,
-    "indi": IndiConfig,
-    "lqg": LqgConfig,
-}
-
-
 @dataclass
 class ScenarioConfig:
     controller: str = "indi-qp-v"
@@ -185,6 +190,12 @@ class ScenarioConfig:
         if self.command.profile not in COMMAND_PROFILES:
             raise ConfigError(
                 f"command profile must be one of {COMMAND_PROFILES}, got {self.command.profile!r}")
+        for name in ("duration", "dt_plant", "dt_ctrl"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ConfigError(f"{name} must be positive and finite, got {value!r}")
+        if not 1 <= self.q <= self.plant.m:
+            raise ConfigError(f"q must be in 1..{self.plant.m}, got {self.q}")
         stride = self.dt_ctrl / self.dt_plant
         if abs(stride - round(stride)) > 1e-9:
             raise ConfigError("dt_ctrl must be an integer multiple of dt_plant")
@@ -299,8 +310,9 @@ def build_controller(cfg, model, basis, limits):
         return None
     if name.startswith("indi"):
         mode = {"indi-pi": "pi", "indi-qp": "qp", "indi-qp-v": "qp-v"}[name]
-        lag = default_lag_model(cfg.dt_ctrl, channels=2,
-                                with_measurement_filter=cfg.noise.enabled)
+        a = cfg.actuators
+        lag = default_lag_model(cfg.dt_ctrl, a.zeta, a.omega, round(a.delay / cfg.dt_ctrl),
+                                channels=2, with_measurement_filter=cfg.noise.enabled)
         K = np.diag([cfg.indi.k_gain, cfg.indi.k_gain])
         return IndiController(model.B_static, K, limits, cfg.dt_ctrl, mode=mode,
                               basis=basis, sigma=cfg.indi.sigma, lag_model=lag)
@@ -373,13 +385,11 @@ def _simulate(cfg):
     m, q = cfg.plant.m, cfg.q
     n_ticks = (n_plant + stride - 1) // stride
 
-    T = np.zeros(n_ticks)
     U = np.zeros((n_ticks, m))
     UV = np.zeros((n_ticks, q))
     Yraw = np.zeros((n_ticks, 2))
     Yfilt = np.zeros((n_ticks, 2))
     Ytrue = np.zeros((n_ticks, 2))
-    Yref = np.zeros((n_ticks, 2))
     Alpha = np.zeros(n_ticks)
     EpsN = np.zeros(n_ticks)
     Iters = np.zeros(n_ticks, dtype=int)
@@ -393,59 +403,50 @@ def _simulate(cfg):
     Ytp = np.zeros((n_plant, 2))
     Yrp = np.zeros((n_plant, 2))
 
+    t_plant = np.arange(n_plant) * cfg.dt_plant
+    for k, t in enumerate(t_plant):
+        Yrp[k] = ref(t)
+
     u = np.zeros(m)
-    prev = None  # last PlantOutput
+    zero = np.zeros(2)
+    out = PlantOutput(y_true=zero, y_raw=zero, y_filt=zero, alpha_g=0.0, u_eff=np.zeros(m))
     is_indi = cfg.controller.startswith("indi")
-    tick = 0
-    for k in range(n_plant):
-        t = k * cfg.dt_plant
-        y_ref = ref(t)
-        if k % stride == 0:
-            y_raw = prev.y_raw if prev is not None else np.zeros(2)
-            y_filt = prev.y_filt if prev is not None else np.zeros(2)
-            y_true = prev.y_true if prev is not None else np.zeros(2)
-            if ctrl is not None:
-                if is_indi:
-                    u = ctrl.step(y_filt, y_ref)
-                elif ctrl.kalman is None:
-                    u = ctrl.step(y_raw, y_ref, x_true=sim.x)
-                else:
-                    u = ctrl.step(y_raw, y_ref)
-            T[tick] = t
-            U[tick] = u
-            Yraw[tick] = y_raw
-            Yfilt[tick] = y_filt
-            Ytrue[tick] = y_true
-            Yref[tick] = y_ref
-            Alpha[tick] = prev.alpha_g if prev is not None else 0.0
-            X[tick] = sim.x
-            Ueff[tick] = prev.u_eff if prev is not None else np.zeros(m)
-            if ctrl is not None and is_indi:
-                last = ctrl.last
-                Nu[tick] = last["nu_c"]
-                Eps[tick] = last["eps_ca"]
-                Hedge[tick] = last["hedge"]
-                Elog[tick] = last["e"]
-                EpsN[tick] = np.linalg.norm(last["eps_ca"])
-                Iters[tick] = last["iterations"]
-                Sat[tick] = int(len(last["active_set"]) > 0)
-                dv = last.get("delta_u_virtual")
-                if dv is not None:
-                    # accumulate: the servo command is Phi times this total
-                    UV[tick] = (UV[tick - 1] if tick > 0 else 0.0) + dv
-            elif ctrl is not None:
-                UV[tick] = ctrl.last["u_v"][:q]
-                Sat[tick] = int(ctrl.last["saturated"])
-            tick += 1
-        out = sim.step(u)
-        prev = out
-        Ytp[k] = out.y_true
-        Yrp[k] = y_ref
+    for tick in range(n_ticks):
+        k0 = tick * stride
+        y_ref = Yrp[k0]
+        if is_indi:
+            u = ctrl.step(out.y_filt, y_ref)
+            last = ctrl.last
+            Nu[tick] = last["nu_c"]
+            Eps[tick] = last["eps_ca"]
+            Hedge[tick] = last["hedge"]
+            Elog[tick] = last["e"]
+            EpsN[tick] = np.linalg.norm(last["eps_ca"])
+            Iters[tick] = last["iterations"]
+            Sat[tick] = int(len(last["active_set"]) > 0)
+            dv = last["delta_u_virtual"]
+            if dv is not None:
+                # accumulate: the servo command is Phi times this total
+                UV[tick] = (UV[tick - 1] if tick > 0 else 0.0) + dv
+        elif ctrl is not None:
+            u = ctrl.step(out.y_raw, y_ref, x_true=sim.x)
+            UV[tick] = ctrl.last["u_v"][:q]
+            Sat[tick] = int(ctrl.last["saturated"])
+        U[tick] = u
+        Yraw[tick] = out.y_raw
+        Yfilt[tick] = out.y_filt
+        Ytrue[tick] = out.y_true
+        Alpha[tick] = out.alpha_g
+        X[tick] = sim.x
+        Ueff[tick] = out.u_eff
+        for k in range(k0, min(k0 + stride, n_plant)):
+            out = sim.step(u)
+            Ytp[k] = out.y_true
     return RunLog(
-        controller=cfg.controller, q=q, t=T, u=U, u_v=UV, y_raw=Yraw, y_filt=Yfilt,
-        y_true=Ytrue, y_ref=Yref, alpha_g=Alpha, eps_ca_norm=EpsN, iterations=Iters,
-        sat_flags=Sat, nu_c=Nu, eps_ca=Eps, hedge=Hedge, e_log=Elog, x=X, u_eff=Ueff,
-        t_plant=np.arange(n_plant) * cfg.dt_plant, y_true_plant=Ytp, y_ref_plant=Yrp,
+        controller=cfg.controller, q=q, t=t_plant[::stride].copy(), u=U, u_v=UV, y_raw=Yraw,
+        y_filt=Yfilt, y_true=Ytrue, y_ref=Yrp[::stride].copy(), alpha_g=Alpha, eps_ca_norm=EpsN,
+        iterations=Iters, sat_flags=Sat, nu_c=Nu, eps_ca=Eps, hedge=Hedge, e_log=Elog, x=X,
+        u_eff=Ueff, t_plant=t_plant, y_true_plant=Ytp, y_ref_plant=Yrp,
     )
 
 
@@ -480,10 +481,15 @@ def _channel_metrics(log):
 
 
 def compute_metrics(log, open_log):
-    """Reduction rate = (open - closed)/open per channel metric, in %."""
+    """Reduction rate = (open - closed)/open per channel metric, in %.
+
+    A run compared with itself reduces nothing (exactly 0).  Against
+    another run, a reduction of a zero open-loop metric is undefined (NaN).
+    """
     mx, rms = _channel_metrics(log)
     omx, orms = _channel_metrics(open_log)
-    red = lambda o, c: 100.0 * (o - c) / o if o > 0.0 else 0.0
+    undefined = 0.0 if log is open_log else math.nan
+    red = lambda o, c: 100.0 * (o - c) / o if o > 0.0 else undefined
     return MetricsReport(
         controller=log.controller,
         max_fy=float(mx[0]), rms_fy=float(rms[0]), max_mx=float(mx[1]), rms_mx=float(rms[1]),

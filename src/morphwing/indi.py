@@ -25,6 +25,7 @@ from .allocator import AllocationProblem, allocate_qp, allocate_qp_virtual
 from .constraints import assemble, rate_box
 from .errors import GainNotContractive, InfeasibleCurrentState, NotHurwitz, RankDeficient
 from .numerics import SecondOrderFilter, hurwitz_margin, pseudo_inverse, solve_lyapunov
+from .plant import MEAS_OMEGA, MEAS_ZETA
 
 
 def pseudo_control(e, y_r_dot, K):
@@ -60,16 +61,17 @@ class LagModel:
         return self.last_output
 
 
-def default_lag_model(dt, channels=2, with_measurement_filter=True):
+def default_lag_model(dt, zeta, omega, delay_ticks, channels=2, with_measurement_filter=True):
     """Lag model of the command-to-measurement chain.
 
-    Servo section, one controller tick of transport delay, and the
-    measurement low pass when it is in the loop.
+    Servo section (zeta, omega), delay_ticks controller ticks of
+    transport delay, and the plant's measurement low pass when it is in
+    the loop.
     """
-    filters = [SecondOrderFilter(0.71, 16.52, dt, channels=channels)]
+    filters = [SecondOrderFilter(zeta, omega, dt, channels=channels)]
     if with_measurement_filter:
-        filters.append(SecondOrderFilter(0.8, 10.0, dt, channels=channels))
-    return LagModel(filters, delay_ticks=1, channels=channels)
+        filters.append(SecondOrderFilter(MEAS_ZETA, MEAS_OMEGA, dt, channels=channels))
+    return LagModel(filters, delay_ticks=delay_ticks, channels=channels)
 
 
 class IndiController:
@@ -77,13 +79,14 @@ class IndiController:
 
     mode selects the allocation route: "pi" (pseudo-inverse, no
     constraints), "qp" (servo-space QP), "qp-v" (QP over virtual shape
-    coefficients; requires basis).  The pseudo-inverse ("pi") and the
-    row-rank check of B_eff Phi ("qp-v") depend only on constant
-    matrices, so they run once here rather than on every tick.
+    coefficients; requires basis).  lag_model is a LagModel, or None for
+    no hedge.  The pseudo-inverse ("pi"), the row-rank check of B_eff Phi
+    ("qp-v") and the identity objective weights are constant, so they are
+    built once here rather than on every tick.
     """
 
-    def __init__(self, B_eff, K, limits, dt, mode="qp-v", basis=None,
-                 sigma=1e-3, W1=None, W2=None, lag_model="default"):
+    def __init__(self, B_eff, K, limits, dt, mode="qp-v", basis=None, sigma=1e-3, *,
+                 lag_model):
         self.B_eff = np.atleast_2d(np.asarray(B_eff, dtype=float))
         p, m = self.B_eff.shape
         self.K = np.asarray(K, dtype=float)
@@ -99,15 +102,9 @@ class IndiController:
             raise RankDeficient("effectiveness composed with the shape basis lost row rank")
         self._B_pinv = pseudo_inverse(self.B_eff) if mode == "pi" else None
         self.sigma = sigma
-        self.W1 = np.eye(p) if W1 is None else np.asarray(W1, dtype=float)
-        if W2 is None:
-            self.W2 = np.eye(basis.q) if (mode == "qp-v" and basis is not None) else np.eye(m)
-        else:
-            self.W2 = np.asarray(W2, dtype=float)
-        if lag_model == "default":
-            self.lag = default_lag_model(dt, channels=p)
-        else:
-            self.lag = lag_model  # LagModel instance or None
+        self._W1 = np.eye(p)
+        self._W2 = np.eye(basis.q if mode == "qp-v" else m)
+        self.lag = lag_model
         self.u_prev = np.zeros(m)
         self.e = np.zeros(p)
         self._warm = ()
@@ -145,7 +142,7 @@ class IndiController:
             except InfeasibleCurrentState:
                 ineq = rate_box(self.limits)
             problem = AllocationProblem(
-                B_eff=self.B_eff, target=target, W1=self.W1, W2=self.W2,
+                B_eff=self.B_eff, target=target, W1=self._W1, W2=self._W2,
                 sigma=self.sigma, u0=self.u_prev, u_star=self.u_prev, ineq=ineq,
             )
             if self.mode == "qp-v":

@@ -17,6 +17,9 @@ from .numerics import SecondOrderFilter, integrate_step
 
 DT_PLANT = 0.001
 DEFAULT_LOCATIONS = np.linspace(0.15, 1.8, 12)
+# Servo section and measurement low pass of the bench: damping, rad/s.
+SERVO_ZETA, SERVO_OMEGA = 0.71, 16.52
+MEAS_ZETA, MEAS_OMEGA = 0.8, 10.0
 
 
 @dataclass
@@ -138,7 +141,7 @@ class ActuatorBank:
     within one tick).
     """
 
-    def __init__(self, m, dt=DT_PLANT, zeta=0.71, omega=16.52, delay_s=0.015,
+    def __init__(self, m, dt=DT_PLANT, zeta=SERVO_ZETA, omega=SERVO_OMEGA, delay_s=0.015,
                  backlash_on=False, k1=1.0, k2=1.0, u_f_plus=0.6, u_f_minus=-0.6,
                  instant=False):
         self.m = m
@@ -224,19 +227,15 @@ class PlantOutput:
 class WingSimulator:
     """Fixed-step closed-loop environment at the plant rate."""
 
-    def __init__(self, model, actuators=None, noise=None, gust=None, dt=DT_PLANT,
-                 meas_zeta=0.8, meas_omega=10.0, filter_measurements=None):
+    def __init__(self, model, actuators=None, noise=None, gust=None, dt=DT_PLANT):
         self.model = model
         self.dt = dt
         self.actuators = actuators or ActuatorBank(model.B.shape[1], dt=dt)
         self.noise = noise
         self.gust = gust
-        # the low pass exists to fight measurement noise; in noise-free
-        # runs it is bypassed unless explicitly requested
-        if filter_measurements is None:
-            filter_measurements = noise is not None
-        self.filter_measurements = filter_measurements
-        self.meas_filter = SecondOrderFilter(meas_zeta, meas_omega, dt, channels=2)
+        # the low pass exists to fight measurement noise; noise-free runs bypass it
+        self.filter_measurements = noise is not None
+        self.meas_filter = SecondOrderFilter(MEAS_ZETA, MEAS_OMEGA, dt, channels=2)
         self.x = np.zeros(model.A.shape[0])
         self.t = 0.0
 

@@ -1,5 +1,6 @@
 """Command-line interface and exit-code tests."""
 
+import pytest
 from click.testing import CliRunner
 
 from morphwing.cli import main
@@ -20,14 +21,23 @@ def test_run_writes_csv_and_exits_zero(tmp_path):
     assert "reduction" in result.output
 
 
-def test_bad_config_key_exits_one(tmp_path):
+@pytest.mark.parametrize("body, field", [
+    ("controler: lqg\n", "controler"),
+    ("duration: abc\n", "duration"),
+    ("duration: -1\n", "duration"),
+    ("noise: {enabled: true, std: abc}\n", "noise.std"),
+    ("q: 13\n", "q must"),
+], ids=["unknown-key", "duration-not-a-number", "duration-negative", "noise-std-not-a-number",
+        "q-above-servo-count"])
+def test_bad_config_key_exits_one(tmp_path, body, field):
     path = tmp_path / "bad.yaml"
-    path.write_text("controler: lqg\n")
+    path.write_text(body)
     result = CliRunner().invoke(main, ["run", str(path)])
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
     lines = result.output.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("config error:"), result.output
+    assert field in lines[0]
 
 
 def test_missing_config_exits_three(tmp_path):

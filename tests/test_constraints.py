@@ -105,6 +105,15 @@ def test_membership_equivalence():
         checks += 1
 
 
+def test_constant_rows_built_once():
+    lim = make_limits(4)
+    m = lim.m
+    assert assemble(lim, np.zeros(m)).A is lim.A
+    assert assemble(lim, np.array([1.0, -2.0, 3.0, 0.5])).A is lim.A
+    assert lim.A.flags.writeable is False
+    np.testing.assert_array_equal(rate_box(lim).A, lim.A[-2 * m:])
+
+
 def test_rate_box_always_feasible():
     lim = make_limits(5)
     ineq = rate_box(lim)

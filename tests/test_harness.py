@@ -10,6 +10,9 @@ from morphwing.errors import ConfigError
 from morphwing.harness import (
     RunLog,
     ScenarioConfig,
+    build_controller,
+    build_limits,
+    build_model,
     certify_run,
     compare_controllers,
     compute_metrics,
@@ -22,6 +25,7 @@ from morphwing.harness import (
     reference_fn,
     run_scenario,
 )
+from morphwing.shapes import build_basis
 
 
 def short_cfg(controller="indi-qp-v", duration=1.5, **kw):
@@ -65,6 +69,32 @@ class TestConfig:
     def test_tick_must_be_multiple_of_plant_step(self):
         with pytest.raises(ConfigError):
             ScenarioConfig(dt_ctrl=0.0157)
+
+    def test_numeric_string_read_as_float(self):
+        # YAML 1.1 reads 1e9 (no dot) as a string
+        cfg = ScenarioConfig.from_yaml("noise: {std: 1e9}\nduration: '2'\n")
+        assert cfg.noise.std == 1e9 and cfg.duration == 2.0
+
+    @pytest.mark.parametrize("data, field", [
+        ({"dt_plant": 0}, "dt_plant"),
+        ({"dt_ctrl": float("inf")}, "dt_ctrl"),
+        ({"noise": {"std": [1.0]}}, "noise.std"),
+        ({"noise": {"enabled": "on"}}, "noise.enabled"),
+        ({"q": 0}, "q"),
+        ({"q": 2.0}, "q"),
+    ])
+    def test_bad_scalar_value_named(self, data, field):
+        with pytest.raises(ConfigError, match=field):
+            ScenarioConfig.from_dict(data)
+
+    def test_lag_model_follows_actuator_config(self):
+        cfg = ScenarioConfig.from_yaml("actuators: {omega: 20, delay: 0.03}")
+        model = build_model(cfg)
+        basis = build_basis(model.locations, cfg.plant.half_span, cfg.q)
+        ctrl = build_controller(cfg, model, basis, build_limits(cfg))
+        servo = ctrl.lag.filters[0]
+        assert (servo.zeta, servo.omega) == (cfg.actuators.zeta, 20.0)
+        assert len(ctrl.lag.delay) == 2
 
     def test_presets_are_valid(self):
         assert mla_config("fy+30%").gust.enabled is False
@@ -114,6 +144,15 @@ class TestMetrics:
         log = self._fake([[1.0, 2.0], [3.0, 4.0]])
         rep = compute_metrics(log, log)
         assert np.array_equal(rep.reductions(), np.zeros(4))
+
+    def test_undefined_reduction_is_nan(self):
+        # no gust and no command: the paired open-loop error is identically zero
+        cfg = short_cfg(duration=0.5)
+        cfg.gust.enabled = False
+        cfg.command.profile = "none"
+        _, rep = run_scenario(cfg)
+        assert rep.open_max_fy == rep.open_rms_mx == 0.0
+        assert np.all(np.isnan(rep.reductions()))
 
     def test_open_loop_scenario_pairs_with_itself(self):
         _, rep = run_scenario(short_cfg("open-loop", duration=0.5))

@@ -14,6 +14,7 @@ from morphwing.indi import (
     recursion_terms,
 )
 from morphwing.numerics import SecondOrderFilter
+from morphwing.plant import SERVO_OMEGA, SERVO_ZETA
 from morphwing.shapes import build_basis
 
 
@@ -65,7 +66,8 @@ class TestLagModel:
         assert np.allclose(got, expected)
 
     def test_default_model_dc_gain_is_unity(self):
-        lag = default_lag_model(0.015, channels=2, with_measurement_filter=True)
+        lag = default_lag_model(0.015, SERVO_ZETA, SERVO_OMEGA, 1, channels=2,
+                                with_measurement_filter=True)
         v = np.array([2.0, -3.0])
         out = v
         for _ in range(3000):
@@ -73,8 +75,9 @@ class TestLagModel:
         assert np.allclose(out, v, atol=1e-6)
 
     def test_measurement_filter_optional(self):
-        with_f = default_lag_model(0.015, with_measurement_filter=True)
-        without = default_lag_model(0.015, with_measurement_filter=False)
+        with_f = default_lag_model(0.015, SERVO_ZETA, SERVO_OMEGA, 1, with_measurement_filter=True)
+        without = default_lag_model(0.015, SERVO_ZETA, SERVO_OMEGA, 1,
+                                    with_measurement_filter=False)
         assert len(with_f.filters) == len(without.filters) + 1
 
 
