@@ -154,7 +154,7 @@ def certify(config, seed):
     cfg = _guard(lambda: _load_config(config, seed))
 
     def go():
-        log, _ = run_scenario(cfg)
+        log, _ = run_scenario(cfg, pair_open_loop=False)
         cert = certify_run(log, cfg)
         click.echo(f"b_bar            {cert.b_bar:.6f}")
         click.echo(f"mu1              {cert.mu1:.6f}")

@@ -19,6 +19,8 @@ from .indi import IndiController, certify_bounds, default_lag_model, recursion_t
 from .lqg import LqgController, design_kalman, design_lqr, perturb_model
 from .numerics import pseudo_inverse
 from .plant import (
+    DEFAULT_LOCATIONS,
+    MEAS_OMEGA,
     SERVO_OMEGA,
     SERVO_ZETA,
     ActuatorBank,
@@ -194,11 +196,30 @@ class ScenarioConfig:
             value = getattr(self, name)
             if not 0.0 < value < math.inf:
                 raise ConfigError(f"{name} must be positive and finite, got {value!r}")
+        if round(self.duration / self.dt_plant) < 1:
+            raise ConfigError(
+                f"duration must cover one plant step of {self.dt_plant}, got {self.duration}")
+        if self.plant.m != DEFAULT_LOCATIONS.size:
+            raise ConfigError(
+                f"plant.m must be {DEFAULT_LOCATIONS.size}, the fixed servo count, got {self.plant.m}")
         if not 1 <= self.q <= self.plant.m:
             raise ConfigError(f"q must be in 1..{self.plant.m}, got {self.q}")
         stride = self.dt_ctrl / self.dt_plant
-        if abs(stride - round(stride)) > 1e-9:
+        if round(stride) < 1 or abs(stride - round(stride)) > 1e-9:
             raise ConfigError("dt_ctrl must be an integer multiple of dt_plant")
+        # omega*dt < 1 for every second-order section the run builds, at the
+        # slowest rate it runs: the INDI lag model runs copies of the servo
+        # filter and, with noise on, of the measurement filter at dt_ctrl
+        servo_dt = "dt_ctrl" if self.controller.startswith("indi") else "dt_plant"
+        meas_dt = servo_dt if self.noise.enabled else "dt_plant"
+        sections = [("actuators.omega", self.actuators.omega, servo_dt),
+                    ("measurement filter omega", MEAS_OMEGA, meas_dt)]
+        if self.noise.enabled:
+            sections.append(("noise.omega", self.noise.omega, "dt_plant"))
+        for name, omega, dt in sections:
+            if not 0.0 < omega * getattr(self, dt) < 1.0:
+                raise ConfigError(
+                    f"{name} * {dt} must be in (0, 1), got {omega} * {getattr(self, dt)}")
 
     def to_dict(self):
         return asdict(self)

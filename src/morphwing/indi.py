@@ -137,19 +137,23 @@ class IndiController:
             eps_ca = self.B_eff @ (u - self.u_prev) - target
             iterations, active, status = 0, (), "Optimal"
         else:
+            # rate_box keeps only A's last 2m rows, so row indices do not carry
+            # across it: a rate-box solve starts cold and leaves no warm start
+            box = False
             try:
                 ineq = assemble(self.limits, self.u_prev)
             except InfeasibleCurrentState:
-                ineq = rate_box(self.limits)
+                ineq, box = rate_box(self.limits), True
+            warm = () if box else self._warm
             problem = AllocationProblem(
                 B_eff=self.B_eff, target=target, W1=self._W1, W2=self._W2,
                 sigma=self.sigma, u0=self.u_prev, u_star=self.u_prev, ineq=ineq,
             )
             if self.mode == "qp-v":
-                res = allocate_qp_virtual(problem, self.basis, warm_start=self._warm)
+                res = allocate_qp_virtual(problem, self.basis, warm_start=warm)
             else:
-                res = allocate_qp(problem, warm_start=self._warm)
-            self._warm = res.active_set
+                res = allocate_qp(problem, warm_start=warm)
+            self._warm = () if box else res.active_set
             u = self.u_prev + res.delta_u
             eps_ca = res.eps_ca
             iterations, active, status = res.iterations, res.active_set, res.status

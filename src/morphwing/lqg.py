@@ -51,12 +51,12 @@ class LqrDesign:
     K_r: np.ndarray
 
 
-def design_lqr(design_model, Phi, Q=None, R=None, q_int_weight=10.0, r_weight=260.0):
+def design_lqr(design_model, Phi, q_int_weight=10.0, r_weight=260.0):
     """Integral-augmented regulator over the virtual input coefficients.
 
     The plant state is augmented with the integral of the load tracking
-    error; the default weights penalize the load outputs, the integral
-    states, and the virtual inputs.
+    error; the weights penalize the load outputs, the integral states
+    (q_int_weight), and the virtual inputs (r_weight).
     """
     A, B = design_model.A, design_model.B
     C_b, D_b = design_model.C, design_model.D
@@ -66,12 +66,10 @@ def design_lqr(design_model, Phi, Q=None, R=None, q_int_weight=10.0, r_weight=26
     q = Phi.shape[1]
     A_aug = np.block([[A, np.zeros((n, p))], [C_b, np.zeros((p, p))]])
     B_aug = np.vstack([B, D_b]) @ Phi
-    if Q is None:
-        Q = np.zeros((n + p, n + p))
-        Q[:n, :n] = C_b.T @ C_b
-        Q[n:, n:] = q_int_weight * np.eye(p)
-    if R is None:
-        R = r_weight * np.eye(q)
+    Q = np.zeros((n + p, n + p))
+    Q[:n, :n] = C_b.T @ C_b
+    Q[n:, n:] = q_int_weight * np.eye(p)
+    R = r_weight * np.eye(q)
     try:
         S = solve_care(A_aug, B_aug, Q, R)
     except NoStabilizingSolution as exc:

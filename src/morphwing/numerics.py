@@ -2,7 +2,10 @@
 
 Everything in here is a pure function of its inputs; matrices are plain
 numpy arrays.  The solvers are deliberately simple direct methods sized
-for the small systems the rest of the toolkit produces (n <= ~30).
+for the small systems the rest of the toolkit produces (n <= ~30): the
+Lyapunov solver is one Kronecker-product linear solve, and the Riccati
+solver reads the stabilizing solution off one eigen-decomposition of the
+Hamiltonian matrix (Potter 1966; Laub, IEEE TAC 1979).
 """
 
 import numpy as np
@@ -19,14 +22,14 @@ from .errors import (
 _SINGULAR_RTOL = 1e-12
 
 
-def _solve(A, b, rtol=_SINGULAR_RTOL):
+def _solve(A, b):
     """Partial-pivot LU solve with an explicit singularity check."""
-    A = np.asarray(A, dtype=float)
+    A = np.asarray(A)
     scale = np.max(np.abs(A)) if A.size else 0.0
     if scale == 0.0:
         raise RankDeficient("all-zero matrix")
     # LAPACK's getrf does the pivoting; detect near-singularity via rcond.
-    if rtol > 0.0 and 1.0 / np.linalg.cond(A, 1) < rtol:
+    if 1.0 / np.linalg.cond(A, 1) < _SINGULAR_RTOL:
         raise RankDeficient(f"matrix numerically singular (cond={np.linalg.cond(A, 1):.3e})")
     try:
         return np.linalg.solve(A, b)
@@ -52,13 +55,11 @@ def hurwitz_margin(A):
     return float(np.max(np.linalg.eigvals(np.asarray(A, dtype=float)).real))
 
 
-def solve_lyapunov(A, Q, rtol=_SINGULAR_RTOL):
+def solve_lyapunov(A, Q):
     """Solve P A + A^T P = -Q for symmetric P > 0.
 
     Uses the Kronecker-product linear system, which is fine at the sizes
     this toolkit ever sees.  A must be Hurwitz and Q symmetric PD.
-    rtol=0 skips the conditioning gate (used by iterative callers that
-    validate their final residual independently).
     """
     A = np.asarray(A, dtype=float)
     Q = np.asarray(Q, dtype=float)
@@ -67,26 +68,8 @@ def solve_lyapunov(A, Q, rtol=_SINGULAR_RTOL):
         raise NotHurwitz(f"eigenvalue real part {hurwitz_margin(A):.3e} >= -1e-12")
     # vec(PA + A^T P) = (A^T (x) I + I (x) A^T) vec(P)
     K = np.kron(A.T, np.eye(n)) + np.kron(np.eye(n), A.T)
-    P = _solve(K, -Q.reshape(-1), rtol=rtol).reshape(n, n)
+    P = _solve(K, -Q.reshape(-1)).reshape(n, n)
     return 0.5 * (P + P.T)
-
-
-def _stabilizing_gain(A, B, R):
-    """Initial stabilizing gain via Bass's eigenvalue-shift construction."""
-    n = A.shape[0]
-    if hurwitz_margin(A) < -1e-9:
-        return np.zeros((B.shape[1], n))
-    beta = 2.0 * max(np.max(np.abs(np.linalg.eigvals(A))), 1.0)
-    # (A + beta I) Z + Z (A + beta I)^T = 2 B R^-1 B^T, K0 = R^-1 B^T Z^-1
-    As = A + beta * np.eye(n)
-    Z = solve_lyapunov(-As.T, 2.0 * B @ np.linalg.solve(R, B.T), rtol=0.0)
-    try:
-        K0 = np.linalg.solve(R, B.T) @ _solve(Z, np.eye(n))
-    except RankDeficient as exc:
-        raise NoStabilizingSolution(f"could not seed a stabilizing gain: {exc}") from exc
-    if hurwitz_margin(A - B @ K0) >= 0.0:
-        raise NoStabilizingSolution("Bass seed gain failed to stabilize")
-    return K0
 
 
 def care_residual(A, B, Q, R, S):
@@ -95,44 +78,36 @@ def care_residual(A, B, Q, R, S):
     return float(np.max(np.abs(res)))
 
 
-def solve_care(A, B, Q, R, max_iter=200, tol=1e-10):
+def solve_care(A, B, Q, R):
     """Stabilizing solution of A^T S + S A - S B R^-1 B^T S + Q = 0.
 
-    Newton-Kleinman iteration: each step solves one Lyapunov equation for
-    the current closed-loop matrix.  Seeded with a stabilizing gain from
-    eigenvalue shifting when A itself is unstable.
+    Potter's Hamiltonian method: the eigenvectors [X1; X2] of
+    [[A, -B R^-1 B^T], [-Q, -A^T]] for its n eigenvalues with negative
+    real part span the stable invariant subspace, and S = X2 X1^-1.
     """
     A = np.asarray(A, dtype=float)
     B = np.atleast_2d(np.asarray(B, dtype=float))
-    if B.shape[0] != A.shape[0]:
-        B = B.reshape(A.shape[0], -1)
     Q = np.asarray(Q, dtype=float)
     R = np.atleast_2d(np.asarray(R, dtype=float))
-
+    n = A.shape[0]
+    H = np.block([[A, -B @ np.linalg.solve(R, B.T)], [-Q, -A.T]])
+    w, V = np.linalg.eig(H)
+    stable = w.real < 0.0
+    if np.count_nonzero(stable) != n:
+        raise NoStabilizingSolution(
+            f"{np.count_nonzero(stable)} stable Hamiltonian eigenvalues, need {n}")
     try:
-        K = _stabilizing_gain(A, B, R)
-    except NotHurwitz as exc:
-        raise NoStabilizingSolution(str(exc)) from exc
-    S = np.zeros_like(A)
-    for _ in range(max_iter):
-        Ak = A - B @ K
-        Qk = Q + K.T @ R @ K
-        # Qk may be only PSD; shift by a tiny multiple of I keeps the
-        # Lyapunov solve well posed without moving the fixed point.
-        try:
-            S_new = solve_lyapunov(Ak, Qk + 1e-14 * np.eye(A.shape[0]), rtol=0.0)
-        except NotHurwitz as exc:
-            raise NoStabilizingSolution(f"iterate lost stability: {exc}") from exc
-        K = np.linalg.solve(R, B.T @ S_new)
-        if np.max(np.abs(S_new - S)) < tol * max(1.0, np.max(np.abs(S_new))):
-            S = S_new
-            break
-        S = S_new
-    else:
-        raise NoStabilizingSolution(f"no convergence in {max_iter} iterations")
+        S = _solve(V[:n, stable].T, V[n:, stable].T).T
+    except RankDeficient as exc:
+        raise NoStabilizingSolution(f"stable subspace has no graph form: {exc}") from exc
+    # The stable subspace is Lagrangian, so S is Hermitian; imaginary-axis
+    # eigenvalues split by rounding into both half planes break that.
+    if np.max(np.abs(S - S.conj().T)) > 1e-8 * np.max(np.abs(S)):
+        raise NoStabilizingSolution("Hamiltonian has eigenvalues on the imaginary axis")
+    S = 0.5 * (S + S.T).real
     if care_residual(A, B, Q, R, S) > 1e-8 * max(1.0, float(np.max(np.abs(Q))), float(np.max(np.abs(S))) ** 2):
-        raise NoStabilizingSolution("converged iterate does not satisfy the Riccati equation")
-    return 0.5 * (S + S.T)
+        raise NoStabilizingSolution("solution does not satisfy the Riccati equation")
+    return S
 
 
 class SecondOrderFilter:

@@ -3,6 +3,7 @@
 import pytest
 from click.testing import CliRunner
 
+from morphwing import harness
 from morphwing.cli import main
 from morphwing.harness import ScenarioConfig
 
@@ -27,8 +28,13 @@ def test_run_writes_csv_and_exits_zero(tmp_path):
     ("duration: -1\n", "duration"),
     ("noise: {enabled: true, std: abc}\n", "noise.std"),
     ("q: 13\n", "q must"),
+    ("duration: 0.0001\n", "duration"),
+    ("{plant: {m: 3}, q: 3}\n", "plant.m"),
+    ("dt_ctrl: 0.1\n", "dt_ctrl"),
+    ("actuators: {omega: 600}\n", "actuators.omega"),
 ], ids=["unknown-key", "duration-not-a-number", "duration-negative", "noise-std-not-a-number",
-        "q-above-servo-count"])
+        "q-above-servo-count", "duration-under-one-plant-step", "servo-count-not-twelve",
+        "lag-filter-too-fast-for-tick", "servo-filter-too-fast-for-tick"])
 def test_bad_config_key_exits_one(tmp_path, body, field):
     path = tmp_path / "bad.yaml"
     path.write_text(body)
@@ -75,6 +81,17 @@ def test_certify_reports_bounds(tmp_path):
     assert result.exit_code == 0, result.output
     assert "b_bar" in result.output
     assert "identity residual" in result.output
+
+
+def test_certify_simulates_once(tmp_path, monkeypatch):
+    # the certificate needs only the closed-loop log, not its open-loop pair
+    calls = []
+    simulate = harness._simulate
+    monkeypatch.setattr(harness, "_simulate", lambda cfg: calls.append(cfg) or simulate(cfg))
+    cfg_path = write_cfg(tmp_path / "s.yaml", ScenarioConfig(duration=0.5))
+    result = CliRunner().invoke(main, ["certify", cfg_path])
+    assert result.exit_code == 0, result.output
+    assert len(calls) == 1
 
 
 def test_seed_override_changes_noisy_run(tmp_path):

@@ -138,6 +138,26 @@ class TestControllerStep:
         assert np.all(np.abs(u1) <= 1.0 * 0.015 + 1e-9)
         assert np.all(np.abs(u2 - u1) <= 1.0 * 0.015 + 1e-9)
 
+    @pytest.mark.parametrize("mode", ["qp-v", "qp"])
+    def test_rate_box_fallback_after_binding_rate_rows(self, mode):
+        # a huge reference binds rate rows (indices 46+ of the full A);
+        # then a relative-bound violation forces the 24-row rate box,
+        # where those row indices must not be reused as a warm start
+        B, locs = make_b_eff()
+        ctrl = IndiController(B, np.diag([0.1, 0.1]), make_limits(), 0.015,
+                              mode=mode, basis=build_basis(locs, 1.8, 5), lag_model=None)
+        y_ref = np.array([5000.0, 0.0])
+        ctrl.step(np.zeros(2), y_ref)
+        assert max(ctrl.last["active_set"]) >= 46
+        u_prev = ctrl.u_prev.copy()
+        u_prev[1] += 20.0  # pair (1, 2) now breaks its 10-degree relative bound
+        ctrl.u_prev = u_prev.copy()
+        u = ctrl.step(np.zeros(2), y_ref)
+        assert ctrl.last["status"] == "Optimal"
+        assert np.all(np.abs(u - u_prev) <= 80.0 * 0.015 + 1e-9)
+        u_next = ctrl.step(np.zeros(2), y_ref)
+        assert np.all(np.abs(u_next - u) <= 80.0 * 0.015 + 1e-9)
+
 
 class TestCertificates:
     def _synthetic_logs(self, n=60, scale=1.0):

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from morphwing.constraints import InputLimits
 from morphwing.errors import NotDetectable
+from morphwing.harness import ScenarioConfig, build_model
 from morphwing.lqg import (
     DesignModel,
     LqgController,
@@ -82,6 +84,27 @@ class TestRegulatorDesign:
         model, basis = twin_and_basis()
         lq = design_lqr(perturb_model(model, rel=0.2, seed=13), basis.Phi)
         assert hurwitz_margin(lq.A_aug + lq.B_aug @ lq.K_X) < 0.0
+
+
+def test_default_designs_match_scipy_riccati():
+    # the regulator and filter problems of the default lqg scenario,
+    # solved independently by scipy's Schur-based CARE solver
+    cfg = ScenarioConfig(controller="lqg")
+    lc = cfg.lqg
+    model = build_model(cfg)
+    Phi = build_basis(model.locations, cfg.plant.half_span, cfg.q).Phi
+    dm = perturb_model(model, rel=lc.perturb_rel, seed=lc.perturb_seed)
+    lq = design_lqr(dm, Phi, q_int_weight=lc.q_int_weight, r_weight=lc.r_weight)
+    S_ref = scipy.linalg.solve_continuous_are(lq.A_aug, lq.B_aug, lq.Q, lq.R)
+    assert np.max(np.abs(lq.S - S_ref)) <= 1e-9 * np.max(np.abs(S_ref))
+
+    R_k = cfg.noise.std ** 2 * np.eye(2)
+    assert not np.any(lc.n_k)  # no cross covariance, so L = P C' R_k^-1
+    kd = design_kalman(dm, lc.q_k, R_k, np.asarray(lc.n_k, dtype=float))
+    G = dm.B_g.reshape(-1, 1)
+    P_ref = scipy.linalg.solve_continuous_are(dm.A.T, dm.C.T, lc.q_k * G @ G.T, R_k)
+    L_ref = P_ref @ dm.C.T @ np.linalg.inv(R_k)
+    assert np.max(np.abs(kd.L - L_ref)) <= 1e-9 * np.max(np.abs(L_ref))
 
 
 class TestFilterDesign:

@@ -127,6 +127,11 @@ class TestCare:
         B = np.array([[0.0], [1.0]])
         with pytest.raises(NoStabilizingSolution):
             solve_care(A, B, np.eye(2), np.array([[1.0]]))
+        # undamped oscillator with no input: the Hamiltonian's eigenvalues
+        # sit on the imaginary axis, which rounding splits across both halves
+        A = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        with pytest.raises(NoStabilizingSolution):
+            solve_care(A, np.zeros((2, 1)), np.eye(2), np.array([[1.0]]))
 
 
 class TestFilter:
