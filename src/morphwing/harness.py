@@ -192,8 +192,12 @@ class ScenarioConfig:
         if self.command.profile not in COMMAND_PROFILES:
             raise ConfigError(
                 f"command profile must be one of {COMMAND_PROFILES}, got {self.command.profile!r}")
-        for name in ("duration", "dt_plant", "dt_ctrl"):
-            value = getattr(self, name)
+        positive = {"duration": self.duration, "dt_plant": self.dt_plant,
+                    "dt_ctrl": self.dt_ctrl, "gust.f_g": self.gust.f_g, "gust.v": self.gust.v,
+                    "actuators.zeta": self.actuators.zeta}
+        if self.noise.enabled:
+            positive["noise.zeta"] = self.noise.zeta
+        for name, value in positive.items():
             if not 0.0 < value < math.inf:
                 raise ConfigError(f"{name} must be positive and finite, got {value!r}")
         if round(self.duration / self.dt_plant) < 1:
@@ -207,6 +211,10 @@ class ScenarioConfig:
         stride = self.dt_ctrl / self.dt_plant
         if round(stride) < 1 or abs(stride - round(stride)) > 1e-9:
             raise ConfigError("dt_ctrl must be an integer multiple of dt_plant")
+        depth = self.actuators.delay / self.dt_plant
+        if not 0.0 <= depth < math.inf or abs(depth - round(depth)) > 1e-9:
+            raise ConfigError("actuators.delay must be a non-negative integer multiple of "
+                              f"dt_plant, got {self.actuators.delay!r}")
         # omega*dt < 1 for every second-order section the run builds, at the
         # slowest rate it runs: the INDI lag model runs copies of the servo
         # filter and, with noise on, of the measurement filter at dt_ctrl
@@ -260,26 +268,34 @@ def gla_config(f_g=0.5):
     return cfg
 
 
+def _sigmoid(x):
+    """1 / (1 + exp(-x)), written as z / (1 + z) with z = exp(x) for x < 0 so
+    that exp never overflows."""
+    z = np.exp(-np.abs(x))
+    return np.where(x >= 0.0, 1.0 / (1.0 + z), z / (1.0 + z))
+
+
 def reference_fn(cfg):
-    """Load-reference trajectory (F_y*, M_x*) as a function of time."""
+    """Load-reference trajectory (F_y*, M_x*) as a function of time.
+
+    The returned function takes a time or an array of times and returns
+    the references along a last axis of length 2.
+    """
     c = cfg.command
-
-    def sig(x):
-        return 1.0 / (1.0 + math.exp(-x))
-
     if c.profile == "none":
-        return lambda t: np.zeros(2)
+        return lambda t: np.zeros(np.shape(t) + (2,))
     if c.profile == "custom":
         def ref(t):
-            s = sig(c.rate * (t - c.t_start))
-            return np.array([c.level * s, c.m_level * s])
+            s = _sigmoid(c.rate * (np.asarray(t, dtype=float) - c.t_start))
+            return np.stack([c.level * s, c.m_level * s], axis=-1)
         return ref
     frac = 0.30 if c.profile == "fy+30%" else 0.35
 
     def ref(t):
-        base = sig(c.base_rate * (t - c.base_time))
-        step = sig(c.rate * (t - c.t_start))
-        return np.array([c.f_nom * base + frac * c.f_nom * step, c.m_nom * base])
+        t = np.asarray(t, dtype=float)
+        base = _sigmoid(c.base_rate * (t - c.base_time))
+        step = _sigmoid(c.rate * (t - c.t_start))
+        return np.stack([c.f_nom * base + frac * c.f_nom * step, c.m_nom * base], axis=-1)
     return ref
 
 
@@ -422,21 +438,22 @@ def _simulate(cfg):
     X = np.zeros((n_ticks, model.A.shape[0]))
     Ueff = np.zeros((n_ticks, m))
     Ytp = np.zeros((n_plant, 2))
-    Yrp = np.zeros((n_plant, 2))
 
     t_plant = np.arange(n_plant) * cfg.dt_plant
-    for k, t in enumerate(t_plant):
-        Yrp[k] = ref(t)
+    Yrp = ref(t_plant)
 
     u = np.zeros(m)
-    zero = np.zeros(2)
-    out = PlantOutput(y_true=zero, y_raw=zero, y_filt=zero, alpha_g=0.0, u_eff=np.zeros(m))
+    # the plant's outputs over the last tick, one row per plant step
+    zero = np.zeros((1, 2))
+    out = PlantOutput(y_true=zero, y_raw=zero, y_filt=zero, alpha_g=np.zeros(1),
+                      u_eff=np.zeros((1, m)))
     is_indi = cfg.controller.startswith("indi")
     for tick in range(n_ticks):
         k0 = tick * stride
+        k1 = min(k0 + stride, n_plant)
         y_ref = Yrp[k0]
         if is_indi:
-            u = ctrl.step(out.y_filt, y_ref)
+            u = ctrl.step(out.y_filt[-1], y_ref)
             last = ctrl.last
             Nu[tick] = last["nu_c"]
             Eps[tick] = last["eps_ca"]
@@ -450,19 +467,18 @@ def _simulate(cfg):
                 # accumulate: the servo command is Phi times this total
                 UV[tick] = (UV[tick - 1] if tick > 0 else 0.0) + dv
         elif ctrl is not None:
-            u = ctrl.step(out.y_raw, y_ref, x_true=sim.x)
+            u = ctrl.step(out.y_raw[-1], y_ref, x_true=sim.x)
             UV[tick] = ctrl.last["u_v"][:q]
             Sat[tick] = int(ctrl.last["saturated"])
         U[tick] = u
-        Yraw[tick] = out.y_raw
-        Yfilt[tick] = out.y_filt
-        Ytrue[tick] = out.y_true
-        Alpha[tick] = out.alpha_g
+        Yraw[tick] = out.y_raw[-1]
+        Yfilt[tick] = out.y_filt[-1]
+        Ytrue[tick] = out.y_true[-1]
+        Alpha[tick] = out.alpha_g[-1]
         X[tick] = sim.x
-        Ueff[tick] = out.u_eff
-        for k in range(k0, min(k0 + stride, n_plant)):
-            out = sim.step(u)
-            Ytp[k] = out.y_true
+        Ueff[tick] = out.u_eff[-1]
+        out = sim.advance(u, k1 - k0)
+        Ytp[k0:k1] = out.y_true
     return RunLog(
         controller=cfg.controller, q=q, t=t_plant[::stride].copy(), u=U, u_v=UV, y_raw=Yraw,
         y_filt=Yfilt, y_true=Ytrue, y_ref=Yrp[::stride].copy(), alpha_g=Alpha, eps_ca_norm=EpsN,

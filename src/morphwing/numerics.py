@@ -110,6 +110,54 @@ def solve_care(A, B, Q, R):
     return S
 
 
+class BlockMap:
+    """k steps of x+ = Ad x + Bd u, y = Cd x + Dd u as two matrix products.
+
+    The block-Toeplitz trajectory matrices map [x0; u_0; ...; u_{k-1}] to
+    the stacked outputs y_0..y_{k-1} and to the states x_1..x_k.  They are
+    built for the longest run asked for so far; a shorter run uses their
+    leading blocks.  Input rows are the steps; any trailing columns of x
+    and u are independent channels sharing the system.
+    """
+
+    def __init__(self, Ad, Bd, Cd, Dd):
+        self.Ad, self.Bd, self.Cd, self.Dd = (np.atleast_2d(np.asarray(M, dtype=float))
+                                              for M in (Ad, Bd, Cd, Dd))
+        self.n = 0
+
+    def _build(self, n):
+        Ad, Bd, Cd, Dd = self.Ad, self.Bd, self.Cd, self.Dd
+        (ns, nu), p = Bd.shape, Cd.shape[0]
+        powers = [np.eye(ns)]
+        for _ in range(n):
+            powers.append(Ad @ powers[-1])
+        self.outputs = np.zeros((n * p, ns + n * nu))
+        self.states = np.zeros((n * ns, ns + n * nu))
+        for j in range(n):
+            y, x = slice(j * p, (j + 1) * p), slice(j * ns, (j + 1) * ns)
+            self.outputs[y, :ns] = Cd @ powers[j]
+            self.states[x, :ns] = powers[j + 1]
+            for i in range(j + 1):
+                u = slice(ns + i * nu, ns + (i + 1) * nu)
+                self.states[x, u] = powers[j - i] @ Bd
+                self.outputs[y, u] = Dd if i == j else Cd @ powers[j - 1 - i] @ Bd
+        self.n = n
+
+    def run(self, x, U):
+        """Outputs of len(U) steps from state x, and the state after them.
+
+        Returns the outputs stacked as (len(U) * p, channels) and the final
+        state as (ns, channels).
+        """
+        k = len(U)
+        if k > self.n:
+            self._build(k)
+        (ns, nu), p = self.Bd.shape, self.Cd.shape[0]
+        xu = np.concatenate([x.reshape(ns, -1), U.reshape(k * nu, -1)])
+        cols = ns + k * nu
+        return self.outputs[:k * p, :cols] @ xu, self.states[(k - 1) * ns:k * ns, :cols] @ xu
+
+
 class SecondOrderFilter:
     """Discrete unit-DC-gain second-order low pass w^2 / (s^2 + 2 z w s + w^2).
 
@@ -135,6 +183,11 @@ class SecondOrderFilter:
             (k * k - 2.0 * zeta * omega * k + omega * omega) / a0,
         ])
         self.state = np.zeros((2, channels)) if channels > 1 else np.zeros(2)
+        # the same recursion in state-space form, for run()
+        a0, a1 = self.a
+        b0, b1, b2 = self.b
+        self.blocks = BlockMap([[-a0, 1.0], [-a1, 0.0]], [[b1 - a0 * b0], [b2 - a1 * b0]],
+                               [[1.0, 0.0]], [[b0]])
 
     def step(self, x):
         """Advance one sample (direct form II transposed)."""
@@ -142,6 +195,13 @@ class SecondOrderFilter:
         self.state[0] = self.b[1] * x - self.a[0] * y + self.state[1]
         self.state[1] = self.b[2] * x - self.a[1] * y
         return y
+
+    def run(self, X):
+        """step() over each row of X, through the block maps."""
+        X = np.asarray(X, dtype=float)
+        Y, state = self.blocks.run(self.state, X)
+        self.state = state.reshape(self.state.shape)
+        return Y.reshape(X.shape)
 
     def continuous_magnitude(self, w):
         """|H(jw)| of the underlying continuous-time filter."""

@@ -5,15 +5,21 @@ outputs, per-servo second-order actuators behind a transport delay,
 optional backlash, channel fault scaling, a "1-cos" gust input, colored
 measurement noise, and the measurement low-pass filter.  Runs at a fixed
 1 kHz step while controllers tick every 15th step.
+
+The twin advances a block of plant steps per call (one controller tick)
+with the command held.  Everything before and after the backlash is
+linear, so each linear section runs its whole block as one product with
+precomputed block maps (numerics.BlockMap): the servo filter, the modal
+RK4 step, the noise shaping and the measurement low pass.  Backlash, the
+only nonlinearity, runs row by row between the two.
 """
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadDimension
-from .numerics import SecondOrderFilter, integrate_step
+from .errors import BadDimension, NonFiniteState
+from .numerics import BlockMap, SecondOrderFilter, integrate_step
 
 DT_PLANT = 0.001
 DEFAULT_LOCATIONS = np.linspace(0.15, 1.8, 12)
@@ -126,18 +132,19 @@ class GustProfile:
 
 
 def gust_angle(profile, t):
-    """"1-cos" gust angle: zero before arrival and after `repeat` periods."""
-    s = t - profile.d_gw / profile.V
-    if s < 0.0 or s >= profile.repeat / profile.f_g:
-        return 0.0
-    return 0.5 * profile.A_g * (1.0 - np.cos(2.0 * np.pi * profile.f_g * s + profile.phi))
+    """"1-cos" gust angle at time(s) t: zero before arrival and after `repeat` periods."""
+    s = np.asarray(t, dtype=float) - profile.d_gw / profile.V
+    on = (s >= 0.0) & (s < profile.repeat / profile.f_g)
+    cos = np.cos(2.0 * np.pi * profile.f_g * s + profile.phi)
+    return np.where(on, 0.5 * profile.A_g * (1.0 - cos), 0.0)[()]
 
 
 class ActuatorBank:
     """m parallel actuator channels: delay, servo lag, backlash, scaling.
 
-    instant=True bypasses delay/lag/backlash entirely (used by the
-    certificate identity scenario where the command must take effect
+    The transport delay is a history of the last `depth` plant-rate
+    commands.  instant=True bypasses delay/lag/backlash entirely (used by
+    the certificate identity scenario where the command must take effect
     within one tick).
     """
 
@@ -147,7 +154,7 @@ class ActuatorBank:
         self.m = m
         self.instant = instant
         self.depth = int(round(delay_s / dt))
-        self.queue = deque([np.zeros(m) for _ in range(self.depth)])
+        self.history = np.zeros((self.depth, m))
         self.filter = SecondOrderFilter(zeta, omega, dt, channels=m)
         self.backlash_on = backlash_on
         self.k1, self.k2 = k1, k2
@@ -156,19 +163,20 @@ class ActuatorBank:
         self.scales = np.ones(m)
 
     def step(self, u_cmd):
-        u_cmd = np.asarray(u_cmd, dtype=float)
+        return self.advance(u_cmd, 1)[0]
+
+    def advance(self, u_cmd, n):
+        """Effective deflections over n plant steps with u_cmd held, one row per step."""
+        held = np.repeat(np.asarray(u_cmd, dtype=float)[None], n, axis=0)
         if self.instant:
-            return self.scales * u_cmd
-        if self.depth > 0:
-            v = self.queue.popleft()
-            self.queue.append(u_cmd.copy())
-        else:
-            v = u_cmd
-        v = self.filter.step(v)
+            return self.scales * held
+        held = np.concatenate([self.history, held])
+        self.history = held[n:]
+        v = self.filter.run(held[:n])
         if self.backlash_on:
-            self.tau = backlash_step(self.tau, v, self.k1, self.k2,
-                                     self.u_f_plus, self.u_f_minus)
-            v = self.tau
+            for row in v:
+                self.tau = row[:] = backlash_step(self.tau, row, self.k1, self.k2,
+                                                  self.u_f_plus, self.u_f_minus)
         return self.scales * v
 
 
@@ -188,15 +196,12 @@ def apply_fault(bank, failed=(8,), scaled=((7, 0.468), (9, 0.7348))):
 
 def _white_noise_output_std(filt):
     """Stationary output std of a SecondOrderFilter fed unit white noise."""
-    a0, a1 = filt.a
-    b0, b1, b2 = filt.b
-    Ad = np.array([[-a0, 1.0], [-a1, 0.0]])
-    Bd = np.array([[b1 - a0 * b0], [b2 - a1 * b0]])
+    Ad, Bd = filt.blocks.Ad, filt.blocks.Bd
     # P = Ad P Ad' + Bd Bd'
     n = 2
     M = np.eye(n * n) - np.kron(Ad, Ad)
     P = np.linalg.solve(M, (Bd @ Bd.T).reshape(-1)).reshape(n, n)
-    var = P[0, 0] + b0 * b0
+    var = P[0, 0] + filt.b[0] ** 2
     return float(np.sqrt(var))
 
 
@@ -212,11 +217,17 @@ class NoiseModel:
         self.gain = self.std / _white_noise_output_std(self.filter)
 
     def step(self):
-        return self.gain * self.filter.step(self.rng.standard_normal(self.std.size))
+        return self.advance(1)[0]
+
+    def advance(self, n):
+        """n samples, one row each: one draw of (n, channels) through the filter."""
+        return self.gain * self.filter.run(self.rng.standard_normal((n, self.std.size)))
 
 
 @dataclass
 class PlantOutput:
+    """One plant step's outputs, or one row per step for a block."""
+
     y_true: np.ndarray   # noise-free loads
     y_raw: np.ndarray    # loads + colored noise
     y_filt: np.ndarray   # measurement-filtered raw loads
@@ -225,7 +236,15 @@ class PlantOutput:
 
 
 class WingSimulator:
-    """Fixed-step closed-loop environment at the plant rate."""
+    """Fixed-step closed-loop environment at the plant rate.
+
+    The modal block map is the RK4 step of integrate_step, read off one
+    step of the system augmented with the held forcing f (f' = 0): the
+    state rows of that step are [P(hA), h Q(hA)] in
+    x+ = P(hA) x + h Q(hA) f.  Its inputs are the effective deflections
+    and the gust angle, its outputs the loads C x+ + D u_eff after each
+    step.
+    """
 
     def __init__(self, model, actuators=None, noise=None, gust=None, dt=DT_PLANT):
         self.model = model
@@ -236,23 +255,36 @@ class WingSimulator:
         # the low pass exists to fight measurement noise; noise-free runs bypass it
         self.filter_measurements = noise is not None
         self.meas_filter = SecondOrderFilter(MEAS_ZETA, MEAS_OMEGA, dt, channels=2)
-        self.x = np.zeros(model.A.shape[0])
+        n = model.A.shape[0]
+        aug = np.zeros((2 * n, 2 * n))
+        aug[:n, :n] = model.A
+        aug[:n, n:] = np.eye(n)
+        rk4 = integrate_step(lambda z, _: aug @ z, np.eye(2 * n), None, dt)[:n]
+        Ad, Bd = rk4[:, :n], rk4[:, n:] @ np.hstack([model.B, model.B_g])
+        Dd = model.C @ Bd
+        Dd[:, :-1] += model.D
+        self.modal = BlockMap(Ad, Bd, model.C @ Ad, Dd)
+        self.x = np.zeros(n)
         self.t = 0.0
 
     def step(self, u_cmd):
         """Advance one plant step with the command held constant."""
-        u_eff = self.actuators.step(u_cmd)
-        alpha = gust_angle(self.gust, self.t) if self.gust is not None else 0.0
-        A, B, Bg = self.model.A, self.model.B, self.model.B_g
-        forcing = B @ u_eff + Bg[:, 0] * alpha
+        out = self.advance(u_cmd, 1)
+        return PlantOutput(y_true=out.y_true[0], y_raw=out.y_raw[0], y_filt=out.y_filt[0],
+                           alpha_g=out.alpha_g[0], u_eff=out.u_eff[0])
 
-        def f(x, _):
-            return A @ x + forcing
-
-        self.x = integrate_step(f, self.x, None, self.dt)
-        self.t += self.dt
-        y_true = self.model.C @ self.x + self.model.D @ u_eff
-        y_raw = y_true + self.noise.step() if self.noise is not None else y_true.copy()
-        y_filt = self.meas_filter.step(y_raw) if self.filter_measurements else y_raw.copy()
+    def advance(self, u_cmd, n):
+        """Advance n plant steps with the command held; one output row per step."""
+        u_eff = self.actuators.advance(u_cmd, n)
+        # the same running sum of dt as stepping one at a time
+        t = np.cumsum(np.concatenate([[self.t], np.full(n, self.dt)]))
+        alpha = gust_angle(self.gust, t[:n]) if self.gust is not None else np.zeros(n)
+        y_true, x = self.modal.run(self.x, np.column_stack([u_eff, alpha]))
+        if not np.all(np.isfinite(x)):
+            raise NonFiniteState("plant block produced non-finite state")
+        self.x, self.t = x[:, 0], t[n]
+        y_true = y_true.reshape(n, 2)
+        y_raw = y_true + self.noise.advance(n) if self.noise is not None else y_true.copy()
+        y_filt = self.meas_filter.run(y_raw) if self.filter_measurements else y_raw.copy()
         return PlantOutput(y_true=y_true, y_raw=y_raw, y_filt=y_filt,
                            alpha_g=alpha, u_eff=u_eff)

@@ -32,9 +32,17 @@ def test_run_writes_csv_and_exits_zero(tmp_path):
     ("{plant: {m: 3}, q: 3}\n", "plant.m"),
     ("dt_ctrl: 0.1\n", "dt_ctrl"),
     ("actuators: {omega: 600}\n", "actuators.omega"),
+    ("gust: {f_g: 0}\n", "gust.f_g"),
+    ("gust: {v: 0}\n", "gust.v"),
+    ("actuators: {zeta: 0}\n", "actuators.zeta"),
+    ("noise: {enabled: true, zeta: -1}\n", "noise.zeta"),
+    ("actuators: {delay: -0.01}\n", "actuators.delay"),
+    ("actuators: {delay: 0.0155}\n", "actuators.delay"),
 ], ids=["unknown-key", "duration-not-a-number", "duration-negative", "noise-std-not-a-number",
         "q-above-servo-count", "duration-under-one-plant-step", "servo-count-not-twelve",
-        "lag-filter-too-fast-for-tick", "servo-filter-too-fast-for-tick"])
+        "lag-filter-too-fast-for-tick", "servo-filter-too-fast-for-tick", "gust-frequency-zero",
+        "gust-speed-zero", "servo-damping-zero", "noise-damping-negative", "delay-negative",
+        "delay-not-whole-plant-steps"])
 def test_bad_config_key_exits_one(tmp_path, body, field):
     path = tmp_path / "bad.yaml"
     path.write_text(body)

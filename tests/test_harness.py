@@ -5,6 +5,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from morphwing.errors import ConfigError
 from morphwing.harness import (
@@ -121,6 +123,16 @@ class TestReference:
         c = cfg.command
         assert np.allclose(ref(1e3), [1.3 * c.f_nom, c.m_nom], atol=1e-6)
 
+    @pytest.mark.filterwarnings("error")
+    def test_time_array_matches_scalar_calls_without_overflow(self):
+        # a steep sigmoid reaches exp(1200) at t = 0, which overflowed
+        cfg = mla_config("fy+35%")
+        cfg.command.rate = 200.0
+        ref = reference_fn(cfg)
+        t = np.arange(12000) * 1e-3
+        assert np.array_equal(ref(t), np.array([ref(ti) for ti in t]))
+        assert ref(t).shape == (12000, 2) and ref(20.0).shape == (2,)
+
 
 class TestMetrics:
     def _fake(self, err):
@@ -236,3 +248,28 @@ class TestCsv:
         assert np.array_equal(cols["F_y_filt"], log.y_filt[:, 0])
         assert np.array_equal(cols["M_x_raw"], log.y_raw[:, 1])
         assert np.array_equal(cols["eps_ca_norm"], log.eps_ca_norm)
+
+
+@given(gust=st.booleans(), a_g=st.floats(0.5, 8.0), f_g=st.floats(0.3, 5.0),
+       level=st.sampled_from([-1500.0, -800.0, 0.0, 400.0, 1500.0]), noise=st.booleans(),
+       std=st.floats(0.1, 5.0), seed=st.integers(0, 2 ** 16), fault=st.booleans(),
+       backlash=st.booleans())
+@settings(max_examples=25, deadline=None, derandomize=True)
+def test_indi_commands_meet_limits(gust, a_g, f_g, level, noise, std, seed, fault, backlash):
+    """Short gust/fault/noise/backlash runs; the command levels drive most
+    of them into the position and rate limits."""
+    cfg = ScenarioConfig.from_dict({
+        "duration": 1.5,
+        "gust": {"enabled": gust, "a_g": a_g, "f_g": f_g, "d_gw": 0.1},
+        "command": {"level": level, "t_start": 0.3, "rate": 8.0},
+        "noise": {"enabled": noise, "std": std, "seed": seed},
+        "fault": {"enabled": fault},
+        "actuators": {"backlash": backlash},
+    })
+    log, _ = run_scenario(cfg, pair_open_loop=False)
+    lim, u = cfg.limits, log.u
+    du = np.diff(u, axis=0, prepend=np.zeros((1, u.shape[1])))
+    adj = np.where(np.arange(u.shape[1] - 1) % 2 == 0, lim.adj_even, lim.adj_odd)
+    assert np.abs(u).max() <= lim.position + 1e-9
+    assert np.abs(du).max() <= lim.rate * cfg.dt_ctrl + 1e-9
+    assert (np.abs(np.diff(u, axis=1)) - adj).max() <= 1e-9

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from morphwing.errors import BadDimension
-from morphwing.numerics import SecondOrderFilter, hurwitz_margin
+from morphwing.errors import BadDimension, NonFiniteState
+from morphwing.numerics import SecondOrderFilter, hurwitz_margin, integrate_step
 from morphwing.plant import (
     ActuatorBank,
     GustProfile,
@@ -230,3 +230,76 @@ class TestSimulator:
             return np.array([sim.step(0.1 * np.ones(12)).y_filt for _ in range(500)])
 
         assert np.array_equal(run(), run())
+
+
+def per_step(sim, commands):
+    """One plant step at a time, as the twin stepped before its block maps:
+    a delay queue, filter steps, backlash_step and an RK4 closure.
+
+    sim must be fresh; its filters and noise generator are used and
+    advanced.  Returns rows [y_true, y_raw, y_filt, u_eff, alpha_g].
+    """
+    bank, noise, md = sim.actuators, sim.noise, sim.model
+    queue = [np.zeros(bank.m)] * bank.depth
+    x, t, tau, rows = sim.x, sim.t, np.zeros(bank.m), []
+    for u in commands:
+        queue.append(u)
+        v = bank.filter.step(queue.pop(0))
+        if bank.backlash_on:
+            tau = v = backlash_step(tau, v, bank.k1, bank.k2, bank.u_f_plus, bank.u_f_minus)
+        u_eff = bank.scales * v
+        alpha = gust_angle(sim.gust, t) if sim.gust is not None else 0.0
+        forcing = md.B @ u_eff + md.B_g[:, 0] * alpha
+        x = integrate_step(lambda z, _: md.A @ z + forcing, x, None, sim.dt)
+        t += sim.dt
+        y = md.C @ x + md.D @ u_eff
+        raw = y + noise.gain * noise.filter.step(noise.rng.standard_normal(2)) if noise else y
+        filt = sim.meas_filter.step(raw) if noise else raw
+        rows.append(np.concatenate([y, raw, filt, u_eff, [alpha]]))
+    return np.array(rows), x
+
+
+def chain(noise=False, fault=False, backlash=False, delay_s=0.015):
+    bank = ActuatorBank(12, dt=0.001, delay_s=delay_s, backlash_on=backlash)
+    if fault:
+        apply_fault(bank)
+    return WingSimulator(synthesize_wing_model(), actuators=bank,
+                         noise=NoiseModel(np.array([1.0, 1.0]), seed=5) if noise else None,
+                         gust=GustProfile(A_g=2.0, f_g=3.0, d_gw=0.05, V=1.0, repeat=2))
+
+
+class TestBlockSteps:
+    @pytest.mark.parametrize("kw", [{}, {"noise": True}, {"noise": True, "fault": True},
+                                    {"noise": True, "fault": True, "backlash": True},
+                                    {"backlash": True, "delay_s": 0.0}],
+                             ids=["clean", "noise", "fault", "backlash", "no-delay"])
+    def test_advance_matches_per_step(self, kw):
+        # 26 ticks of 15 plant steps and a final short block of 7
+        rng = np.random.default_rng(11)
+        blocks = [15] * 26 + [7]
+        u_ticks = 8.0 * rng.standard_normal((len(blocks), 12))
+        sim = chain(**kw)
+        got = []
+        for u, n in zip(u_ticks, blocks):
+            out = sim.advance(u, n)
+            got.append(np.column_stack([out.y_true, out.y_raw, out.y_filt, out.u_eff,
+                                        out.alpha_g]))
+        got = np.vstack(got)
+        want, x = per_step(chain(**kw), np.repeat(u_ticks, blocks, axis=0))
+        peak = np.abs(want[:, :6]).max()
+        assert np.abs(got - want).max() <= 1e-9 * peak
+        assert np.abs(sim.x - x).max() <= 1e-9 * np.abs(x).max()
+        assert sim.t == pytest.approx(0.397, abs=1e-12)
+
+    def test_step_is_a_one_row_block(self):
+        a, b = chain(noise=True, backlash=True), chain(noise=True, backlash=True)
+        for u in 5.0 * np.random.default_rng(2).standard_normal((40, 12)):
+            one, block = a.step(u), b.advance(u, 1)
+            assert np.array_equal(one.y_filt, block.y_filt[0])
+            assert np.array_equal(one.u_eff, block.u_eff[0])
+            assert one.alpha_g == block.alpha_g[0]
+
+    def test_non_finite_state_raises(self):
+        sim = chain(delay_s=0.0)
+        with pytest.raises(NonFiniteState):
+            sim.advance(np.full(12, np.nan), 15)
