@@ -73,14 +73,6 @@ def allocate_pseudo_inverse(B_eff, target):
     return pseudo_inverse(B_eff) @ np.asarray(target, dtype=float)
 
 
-def _hessian_chol(H):
-    """Cholesky factor of H, with a tiny jitter retry if H is only PSD."""
-    try:
-        return np.linalg.cholesky(H)
-    except np.linalg.LinAlgError:
-        return np.linalg.cholesky(H + 1e-12 * np.eye(H.shape[0]))
-
-
 class ActiveSetQP:
     """Primal active-set solver for min 0.5 x'Hx + g'x s.t. A x <= b.
 
@@ -88,6 +80,9 @@ class ActiveSetQP:
     subproblem is solved through the KKT system.  The start point is
     x = 0, which the constraint compiler guarantees feasible.  The
     working set from the previous solve can seed the next one.
+
+    Precondition: H is positive definite.  Both allocators pass
+    H = B'B + sigma I with sigma in (0, 1), which is.
     """
 
     def __init__(self, tol=_FEAS_TOL, max_iter=_ITER_CAP):
@@ -95,9 +90,7 @@ class ActiveSetQP:
         self.max_iter = max_iter
 
     def solve(self, H, g, A, b, warm_start=()):
-        n = g.size
-        L = _hessian_chol(H)
-        x = np.zeros(n)
+        x = np.zeros(g.size)
         # keep only warm-start rows active at x = 0; drop the rest
         working = [i for i in warm_start if b[i] <= self.tol]
         # guard against a degenerate (rank-deficient) warm working set
@@ -105,7 +98,7 @@ class ActiveSetQP:
             working.pop()
 
         for iterations in range(1, self.max_iter + 1):
-            x_eq, lam = self._kkt_solve(H, L, g, A, b, x, working)
+            x_eq, lam = self._kkt_solve(H, g, A, b, working)
             step = x_eq - x
             if np.max(np.abs(step)) <= 1e-12:
                 # at the working-set minimizer: optimal unless a
@@ -134,15 +127,14 @@ class ActiveSetQP:
         return x, self.max_iter, tuple(sorted(working)), "IterationCap"
 
     @staticmethod
-    def _kkt_solve(H, L, g, A, b, x, working):
+    def _kkt_solve(H, g, A, b, working):
         """Minimize over the affine set where the working rows are tight.
 
         Solves [H A_w'; A_w 0][x; lam] = [-g; b_w] for the full working
         set; the current iterate already satisfies A_w x = b_w.
         """
         if not working:
-            y = np.linalg.solve(L, -g)
-            return np.linalg.solve(L.T, y), np.empty(0)
+            return np.linalg.solve(H, -g), np.empty(0)
         Aw = A[working]
         k = len(working)
         KKT = np.block([[H, Aw.T], [Aw, np.zeros((k, k))]])

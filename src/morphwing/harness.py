@@ -215,6 +215,11 @@ class ScenarioConfig:
         if not 0.0 <= depth < math.inf or abs(depth - round(depth)) > 1e-9:
             raise ConfigError("actuators.delay must be a non-negative integer multiple of "
                               f"dt_plant, got {self.actuators.delay!r}")
+        # the INDI lag model delays by whole controller ticks
+        ticks = self.actuators.delay / self.dt_ctrl
+        if self.controller.startswith("indi") and abs(ticks - round(ticks)) > 1e-9:
+            raise ConfigError("actuators.delay must be a whole number of dt_ctrl for "
+                              f"{self.controller}, got {self.actuators.delay!r}")
         # omega*dt < 1 for every second-order section the run builds, at the
         # slowest rate it runs: the INDI lag model runs copies of the servo
         # filter and, with noise on, of the measurement filter at dt_ctrl
@@ -633,19 +638,13 @@ def emit_csv(log, path):
     parsing the file reproduces the in-memory arrays bit for bit and
     repeated runs of the same config produce byte-identical files.
     """
-    m = log.u.shape[1]
-    cols = csv_header(log.q, m)
+    cols = csv_header(log.q, log.u.shape[1])
+    floats = np.column_stack([log.t, log.u, log.u_v, log.y_raw[:, 0], log.y_filt[:, 0],
+                              log.y_raw[:, 1], log.y_filt[:, 1], log.y_ref, log.alpha_g,
+                              log.eps_ca_norm])
     lines = [",".join(cols)]
-    for i in range(log.t.size):
-        row = [repr(float(log.t[i]))]
-        row += [repr(float(v)) for v in log.u[i]]
-        row += [repr(float(v)) for v in log.u_v[i]]
-        row += [repr(float(log.y_raw[i, 0])), repr(float(log.y_filt[i, 0])),
-                repr(float(log.y_raw[i, 1])), repr(float(log.y_filt[i, 1])),
-                repr(float(log.y_ref[i, 0])), repr(float(log.y_ref[i, 1])),
-                repr(float(log.alpha_g[i])), repr(float(log.eps_ca_norm[i])),
-                str(int(log.iterations[i])), str(int(log.sat_flags[i]))]
-        lines.append(",".join(row))
+    for row, iters, sat in zip(floats, log.iterations.tolist(), log.sat_flags.tolist()):
+        lines.append(",".join([*map(repr, row.tolist()), str(int(iters)), str(int(sat))]))
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
     return path

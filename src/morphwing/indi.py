@@ -106,6 +106,8 @@ class IndiController:
         self._W2 = np.eye(basis.q if mode == "qp-v" else m)
         self.lag = lag_model
         self.u_prev = np.zeros(m)
+        # B_eff u_prev: the commanded loads, which the lag model also runs on
+        self._v_cmd = self.B_eff @ self.u_prev
         self.e = np.zeros(p)
         self._warm = ()
         self.last = {}
@@ -122,11 +124,10 @@ class IndiController:
         self.e = self.e + self.dt * (y_meas - y_ref)
         nu_c = pseudo_control(self.e, y_ref, self.K)
 
-        v_cmd = self.B_eff @ self.u_prev
         if self.lag is not None:
-            hedge = v_cmd - self.lag.last_output
+            hedge = self._v_cmd - self.lag.last_output
         else:
-            hedge = np.zeros_like(v_cmd)
+            hedge = np.zeros_like(self._v_cmd)
         # estimated current loads = measurement + commanded-but-unseen part
         target = nu_c - y_meas - hedge
 
@@ -161,7 +162,8 @@ class IndiController:
 
         self.u_prev = u
         if self.lag is not None:
-            self.lag.step(self.B_eff @ u)
+            self._v_cmd = self.B_eff @ u
+            self.lag.step(self._v_cmd)
         self.last = {
             "nu_c": nu_c, "target": target, "hedge": hedge, "eps_ca": eps_ca,
             "iterations": iterations, "active_set": active, "status": status,

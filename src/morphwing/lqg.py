@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotDetectable, NotStabilizable, NoStabilizingSolution
+from .errors import NonFiniteState, NotDetectable, NotStabilizable, NoStabilizingSolution
 from .numerics import hurwitz_margin, integrate_step, solve_care
 
 
@@ -137,36 +137,37 @@ class LqgController:
         self.limits = limits
         self.dt = dt
         self.kalman = kalman
-        # the estimator can be much faster than the controller tick, so
-        # integrate it with enough substeps to keep fixed-step RK4 stable
+        A, B, C, D = design_model.A, design_model.B, design_model.C, design_model.D
+        n, m, p = A.shape[0], self.Phi.shape[0], C.shape[0]
+        self.n_sub = 1
         if kalman is not None:
-            lam = np.max(np.abs(np.linalg.eigvals(design_model.A - kalman.L @ design_model.C)))
+            # the estimator can be much faster than the controller tick, so
+            # take enough RK4 substeps to keep fixed-step RK4 stable
+            L = kalman.L
+            lam = np.max(np.abs(np.linalg.eigvals(A - L @ C)))
             self.n_sub = max(1, int(np.ceil(dt * float(lam) / 2.0)))
-        else:
-            self.n_sub = 1
-        n = design_model.A.shape[0]
-        p = design_model.C.shape[0]
+            # x' = (A - LC) x + (B - LD) u + L y with u and y held over the
+            # tick: the substeps' map of [x; u; y] is read off one RK4
+            # substep of the augmented system applied to the identity
+            aug = np.zeros((n + m + p, n + m + p))
+            aug[:n] = np.hstack([A - L @ C, B - L @ D, L])
+            sub = integrate_step(lambda z, _: aug @ z, np.eye(n + m + p), None, dt / self.n_sub)
+            self._estimator = np.linalg.matrix_power(sub, self.n_sub)[:n]
         self.x_hat = np.zeros(n)
         self.z_int = np.zeros(p)
         self._prev_integrand = np.zeros(p)
-        self.u_prev = np.zeros(self.Phi.shape[0])
+        self.u_prev = np.zeros(m)
         self.last = {}
 
     def step(self, y_meas, y_ref, x_true=None):
         """One controller tick: measurement (or true state) in, servo command out."""
         y_meas = np.asarray(y_meas, dtype=float)
         y_ref = np.asarray(y_ref, dtype=float)
-        A, B, C, D = self.model.A, self.model.B, self.model.C, self.model.D
+        C, D = self.model.C, self.model.D
         if self.kalman is not None:
-            L = self.kalman.L
-            u = self.u_prev
-
-            def f(xh, _):
-                return A @ xh + B @ u + L @ (y_meas - C @ xh - D @ u)
-
-            h = self.dt / self.n_sub
-            for _ in range(self.n_sub):
-                self.x_hat = integrate_step(f, self.x_hat, None, h)
+            self.x_hat = self._estimator @ np.concatenate([self.x_hat, self.u_prev, y_meas])
+            if not np.all(np.isfinite(self.x_hat)):
+                raise NonFiniteState("estimator produced non-finite state")
         else:
             if x_true is None:
                 raise ValueError("full-information mode needs the true state")
@@ -177,11 +178,11 @@ class LqgController:
         self._prev_integrand = integrand
 
         X = np.concatenate([self.x_hat, self.z_int])
-        y_r_aug = np.concatenate([np.zeros(A.shape[0]), -y_ref])
+        y_r_aug = np.concatenate([np.zeros(self.x_hat.size), -y_ref])
         u_v = self.lqr.K_X @ X + self.lqr.K_r @ y_r_aug
         u = self.Phi @ u_v
         u_clamped = np.clip(u, self.limits.u_min, self.limits.u_max)
         saturated = bool(np.any(np.abs(u - u_clamped) > 0.0))
         self.u_prev = u_clamped
-        self.last = {"u_v": u_v, "saturated": saturated, "x_hat": self.x_hat.copy()}
+        self.last = {"u_v": u_v, "saturated": saturated}
         return u_clamped

@@ -38,11 +38,12 @@ def test_run_writes_csv_and_exits_zero(tmp_path):
     ("noise: {enabled: true, zeta: -1}\n", "noise.zeta"),
     ("actuators: {delay: -0.01}\n", "actuators.delay"),
     ("actuators: {delay: 0.0155}\n", "actuators.delay"),
+    ("actuators: {delay: 0.022}\n", "actuators.delay"),
 ], ids=["unknown-key", "duration-not-a-number", "duration-negative", "noise-std-not-a-number",
         "q-above-servo-count", "duration-under-one-plant-step", "servo-count-not-twelve",
         "lag-filter-too-fast-for-tick", "servo-filter-too-fast-for-tick", "gust-frequency-zero",
         "gust-speed-zero", "servo-damping-zero", "noise-damping-negative", "delay-negative",
-        "delay-not-whole-plant-steps"])
+        "delay-not-whole-plant-steps", "delay-not-whole-controller-ticks"])
 def test_bad_config_key_exits_one(tmp_path, body, field):
     path = tmp_path / "bad.yaml"
     path.write_text(body)

@@ -98,6 +98,13 @@ class TestConfig:
         assert (servo.zeta, servo.omega) == (cfg.actuators.zeta, 20.0)
         assert len(ctrl.lag.delay) == 2
 
+    def test_lqg_delay_need_not_be_whole_ticks(self):
+        # only the INDI lag model delays by whole ticks; the plant by whole plant steps
+        cfg = ScenarioConfig.from_yaml("controller: lqg\nactuators: {delay: 0.022}")
+        assert cfg.actuators.delay == 0.022
+        with pytest.raises(ConfigError, match="actuators.delay"):
+            replace(cfg, controller="indi-qp-v")
+
     def test_presets_are_valid(self):
         assert mla_config("fy+30%").gust.enabled is False
         assert mla_config("fy+35%").command.profile == "fy+35%"
@@ -248,6 +255,20 @@ class TestCsv:
         assert np.array_equal(cols["F_y_filt"], log.y_filt[:, 0])
         assert np.array_equal(cols["M_x_raw"], log.y_raw[:, 1])
         assert np.array_equal(cols["eps_ca_norm"], log.eps_ca_norm)
+
+    def test_rows_match_per_value_repr(self, tmp_path):
+        # the row-at-a-time writer against one repr per value, column by column
+        cfg = short_cfg(duration=0.5)
+        cfg.noise.enabled = True
+        log, _ = run_scenario(cfg, pair_open_loop=False)
+        columns = ([log.t] + list(log.u.T) + list(log.u_v.T)
+                   + [log.y_raw[:, 0], log.y_filt[:, 0], log.y_raw[:, 1], log.y_filt[:, 1],
+                      log.y_ref[:, 0], log.y_ref[:, 1], log.alpha_g, log.eps_ca_norm])
+        rows = [",".join([repr(float(c[i])) for c in columns]
+                         + [str(int(log.iterations[i])), str(int(log.sat_flags[i]))])
+                for i in range(log.t.size)]
+        expected = "\n".join([",".join(csv_header(log.q))] + rows) + "\n"
+        assert emit_csv(log, tmp_path / "r.csv").read_text() == expected
 
 
 @given(gust=st.booleans(), a_g=st.floats(0.5, 8.0), f_g=st.floats(0.3, 5.0),

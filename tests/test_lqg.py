@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 from morphwing.constraints import InputLimits
-from morphwing.errors import NotDetectable
+from morphwing.errors import NonFiniteState, NotDetectable
 from morphwing.harness import ScenarioConfig, build_model
 from morphwing.lqg import (
     DesignModel,
@@ -218,6 +218,38 @@ class TestController:
             u = ctrl.step(np.array([1.0, 0.5]), np.zeros(2))
         assert np.all(np.isfinite(ctrl.x_hat))
         assert np.all(np.isfinite(u))
+
+    def test_estimator_map_matches_rk4_substeps(self):
+        # the precomputed tick map against the per-substep RK4 closure it
+        # replaces.  With this fast filter both sum terms of size h |L y|,
+        # about 200 times the estimate, so they agree to rounding of those
+        model, basis = twin_and_basis()
+        dm = perturb_model(model, rel=0.0)
+        lq = design_lqr(dm, basis.Phi)
+        kd = design_kalman(dm, 10.0, 1e-4 * np.eye(2), np.zeros(2))
+        ctrl = LqgController(lq, dm, basis.Phi, make_limits(), 0.015, kalman=kd)
+        assert ctrl.n_sub > 1
+        A, B, C, D, L = dm.A, dm.B, dm.C, dm.D, kd.L
+        h = 0.015 / ctrl.n_sub
+        rng = np.random.default_rng(4)
+        y_ref = np.array([5.0, 3.0])
+        x_hat = np.zeros(4)
+        got, want = [], []
+        for _ in range(50):
+            y = np.array([1.0, 0.5]) + rng.standard_normal(2)
+            u = ctrl.u_prev
+
+            def f(xh, _):
+                return A @ xh + B @ u + L @ (y - C @ xh - D @ u)
+
+            for _ in range(ctrl.n_sub):
+                x_hat = integrate_step(f, x_hat, None, h)
+            ctrl.step(y, y_ref)
+            got.append(ctrl.x_hat)
+            want.append(x_hat)
+        assert np.max(np.abs(np.subtract(got, want))) <= 1e-11 * np.max(np.abs(want))
+        with pytest.raises(NonFiniteState):
+            ctrl.step(np.array([np.nan, 0.5]), y_ref)
 
     def test_position_saturation_is_flagged(self):
         model, basis = twin_and_basis()
