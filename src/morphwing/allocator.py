@@ -9,8 +9,8 @@ Three routes to split a pseudo-control demand over the servos:
 * the same QP posed in virtual-shape coordinates, which shrinks the
   decision space to q < m and keeps the spanwise profile smooth.
 
-The QP solver is a primal active-set method sized for dense problems
-with a few dozen rows, with warm starting between consecutive steps.
+The QP is compiled once; a primal active-set method, warm started
+between steps, runs only when its unconstrained optimum is infeasible.
 """
 
 from dataclasses import dataclass, field
@@ -149,58 +149,66 @@ class ActiveSetQP:
         return sol[: H.shape[0]], sol[H.shape[0]:]
 
 
-def _objective(problem, B, W2, du_pref):
-    """Hessian and gradient of the allocation QP over the columns of B.
+class CompiledQP:
+    """The run-constant parts of the allocation QP, built once per controller.
 
-    du_pref is the preferred increment the secondary term pulls toward
-    (u_star - u0 expressed in the decision space).
+    Over x (du, or shape coefficients with du = Phi x; Phi is None in servo
+    space) the QP is min 0.5 x'Hx + g'x s.t. A Phi x <= b, H = (B Phi)' W1 B Phi
+    + sigma W2, g = G target - S pull.  S maps the pull u_star - u0 through Phi
+    by least squares (Phi has full column rank); W2 is the identity unless it
+    is square in x.  H is positive definite, so x0 = M target + N pull, the
+    unconstrained minimizer, is optimal if feasible.
     """
-    H = B.T @ problem.W1 @ B + problem.sigma * W2
-    g = -B.T @ problem.W1 @ problem.target - problem.sigma * W2 @ du_pref
-    return H, g
+
+    def __init__(self, B_eff, W1, W2, sigma, A, Phi=None):
+        if not 0.0 < sigma < 1.0:
+            raise DimensionMismatch(f"sigma must be in (0, 1), got {sigma}")
+        B, proj = (B_eff, np.eye(B_eff.shape[1])) if Phi is None else (
+            B_eff @ Phi, np.linalg.solve(Phi.T @ Phi, Phi.T))
+        W2 = W2 if W2.shape[0] == B.shape[1] else np.eye(B.shape[1])
+        self.H = B.T @ W1 @ B + sigma * W2
+        self.G, self.S = -B.T @ W1, sigma * W2 @ proj
+        self.M, self.N = np.linalg.solve(self.H, -self.G), np.linalg.solve(self.H, self.S)
+        self.A = A if Phi is None else A @ Phi
+
+    def solve(self, problem, solver, warm_start):
+        """One tick's (x, iterations, active set, status); warm_start seeds the solver."""
+        t, pull, b = problem.target, problem.u_star - problem.u0, problem.ineq.b
+        x0 = self.M @ t + self.N @ pull
+        A = self.A[-b.size:]   # all rows, or the rate box: the last 2m
+        if np.all(A @ x0 <= b):
+            return x0, 1, (), "Optimal"
+        return solver.solve(self.H, self.G @ t - self.S @ pull, A, b, warm_start=warm_start)
 
 
-def allocate_qp(problem, solver=None, warm_start=()):
-    """Constrained allocation in servo space."""
-    solver = solver or ActiveSetQP()
-    H, g = _objective(problem, problem.B_eff, problem.W2, problem.u_star - problem.u0)
-    x, iterations, active, status = solver.solve(
-        H, g, problem.ineq.A, problem.ineq.b, warm_start=warm_start,
-    )
-    eps = problem.B_eff @ x - problem.target
-    return AllocationResult(
-        delta_u=x, eps_ca=eps, iterations=iterations, active_set=active, status=status,
-    )
+def allocate_qp(problem, solver=None, warm_start=(), compiled=None):
+    """Constrained allocation in servo space; see allocate_qp_virtual."""
+    return _allocate(problem, None, solver, warm_start, compiled)
 
 
-def allocate_qp_virtual(problem, basis, solver=None, warm_start=()):
+def allocate_qp_virtual(problem, basis, solver=None, warm_start=(), compiled=None):
     """Constrained allocation over virtual-shape coefficients.
 
     The effectiveness and inequality are both composed with Phi so the
     QP searches only q coefficients; the returned increment is mapped
     back to servo space and satisfies the original inequality by
-    construction.  The preferred-command pull u_star - u0 is projected
-    into virtual space by least squares, through the normal equations
-    of Phi (full column rank by construction of the basis), so a zero
-    pull stays exactly zero.
+    construction.  compiled is the CompiledQP of the problem's constant
+    parts; without one it is built from the problem.
 
     Precondition: B_eff @ Phi has full row rank.  Both are constant over
     a run, so the caller checks this once (IndiController does so at
     construction) rather than on every call.
     """
-    solver = solver or ActiveSetQP()
     Phi = basis.Phi if isinstance(basis, ShapeBasis) else np.asarray(basis, dtype=float)
-    q = Phi.shape[1]
-    B_v = problem.B_eff @ Phi
-    W2_v = problem.W2 if problem.W2.shape[0] == q else np.eye(q)
-    du_pref_v = np.linalg.solve(Phi.T @ Phi, Phi.T @ (problem.u_star - problem.u0))
-    H, g = _objective(problem, B_v, W2_v, du_pref_v)
-    x_v, iterations, active, status = solver.solve(
-        H, g, problem.ineq.A @ Phi, problem.ineq.b, warm_start=warm_start,
-    )
-    delta_u = Phi @ x_v
-    eps = problem.B_eff @ delta_u - problem.target
+    return _allocate(problem, Phi, solver, warm_start, compiled)
+
+
+def _allocate(problem, Phi, solver, warm_start, compiled):
+    compiled = compiled or CompiledQP(problem.B_eff, problem.W1, problem.W2, problem.sigma,
+                                      problem.ineq.A, Phi)
+    x, iterations, active, status = compiled.solve(problem, solver or ActiveSetQP(), warm_start)
+    delta_u = x if Phi is None else Phi @ x
     return AllocationResult(
-        delta_u=delta_u, eps_ca=eps, iterations=iterations, active_set=active,
-        status=status, delta_u_virtual=x_v,
+        delta_u=delta_u, eps_ca=problem.B_eff @ delta_u - problem.target, iterations=iterations,
+        active_set=active, status=status, delta_u_virtual=None if Phi is None else x,
     )

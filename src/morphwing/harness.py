@@ -194,7 +194,8 @@ class ScenarioConfig:
                 f"command profile must be one of {COMMAND_PROFILES}, got {self.command.profile!r}")
         positive = {"duration": self.duration, "dt_plant": self.dt_plant,
                     "dt_ctrl": self.dt_ctrl, "gust.f_g": self.gust.f_g, "gust.v": self.gust.v,
-                    "actuators.zeta": self.actuators.zeta}
+                    "actuators.zeta": self.actuators.zeta, "indi.k_gain": self.indi.k_gain,
+                    **{f"limits.{k}": v for k, v in asdict(self.limits).items()}}
         if self.noise.enabled:
             positive["noise.zeta"] = self.noise.zeta
         for name, value in positive.items():
@@ -206,8 +207,12 @@ class ScenarioConfig:
         if self.plant.m != DEFAULT_LOCATIONS.size:
             raise ConfigError(
                 f"plant.m must be {DEFAULT_LOCATIONS.size}, the fixed servo count, got {self.plant.m}")
-        if not 1 <= self.q <= self.plant.m:
-            raise ConfigError(f"q must be in 1..{self.plant.m}, got {self.q}")
+        if not 0.0 < self.indi.sigma < 1.0:
+            raise ConfigError(f"indi.sigma must be in (0, 1), got {self.indi.sigma!r}")
+        q_min = 2 if self.controller == "indi-qp-v" else 1   # B_eff Phi keeps both load rows
+        if not q_min <= self.q <= self.plant.m:
+            raise ConfigError(f"q must be in {q_min}..{self.plant.m} for {self.controller}, "
+                              f"got {self.q}")
         stride = self.dt_ctrl / self.dt_plant
         if round(stride) < 1 or abs(stride - round(stride)) > 1e-9:
             raise ConfigError("dt_ctrl must be an integer multiple of dt_plant")

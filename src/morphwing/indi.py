@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .allocator import AllocationProblem, allocate_qp, allocate_qp_virtual
+from .allocator import AllocationProblem, CompiledQP, allocate_qp, allocate_qp_virtual
 from .constraints import assemble, rate_box
 from .errors import GainNotContractive, InfeasibleCurrentState, NotHurwitz, RankDeficient
 from .numerics import SecondOrderFilter, hurwitz_margin, pseudo_inverse, solve_lyapunov
@@ -81,8 +81,8 @@ class IndiController:
     constraints), "qp" (servo-space QP), "qp-v" (QP over virtual shape
     coefficients; requires basis).  lag_model is a LagModel, or None for
     no hedge.  The pseudo-inverse ("pi"), the row-rank check of B_eff Phi
-    ("qp-v") and the identity objective weights are constant, so they are
-    built once here rather than on every tick.
+    ("qp-v") and the allocation QP's constant parts are built once here
+    rather than on every tick.
     """
 
     def __init__(self, B_eff, K, limits, dt, mode="qp-v", basis=None, sigma=1e-3, *,
@@ -104,6 +104,8 @@ class IndiController:
         self.sigma = sigma
         self._W1 = np.eye(p)
         self._W2 = np.eye(basis.q if mode == "qp-v" else m)
+        self._qp = None if mode == "pi" else CompiledQP(
+            self.B_eff, self._W1, self._W2, sigma, limits.A, basis.Phi if mode == "qp-v" else None)
         self.lag = lag_model
         self.u_prev = np.zeros(m)
         # B_eff u_prev: the commanded loads, which the lag model also runs on
@@ -151,9 +153,9 @@ class IndiController:
                 sigma=self.sigma, u0=self.u_prev, u_star=self.u_prev, ineq=ineq,
             )
             if self.mode == "qp-v":
-                res = allocate_qp_virtual(problem, self.basis, warm_start=warm)
+                res = allocate_qp_virtual(problem, self.basis, warm_start=warm, compiled=self._qp)
             else:
-                res = allocate_qp(problem, warm_start=warm)
+                res = allocate_qp(problem, warm_start=warm, compiled=self._qp)
             self._warm = () if box else res.active_set
             u = self.u_prev + res.delta_u
             eps_ca = res.eps_ca

@@ -1,15 +1,18 @@
 import numpy as np
+import pytest
 from scipy.linalg import cho_solve, solve_triangular
 from scipy.optimize import nnls
 
+from morphwing import harness, indi
 from morphwing.allocator import (
     ActiveSetQP,
     AllocationProblem,
+    CompiledQP,
     allocate_pseudo_inverse,
     allocate_qp,
     allocate_qp_virtual,
 )
-from morphwing.constraints import InputLimits, assemble
+from morphwing.constraints import InputLimits, assemble, rate_box
 from morphwing.shapes import build_basis
 
 LOCS12 = np.linspace(0.15, 1.8, 12)
@@ -56,20 +59,25 @@ def nnls_objective(problem, B=None, A=None, n=None):
     W2 = np.eye(n) if problem.W2.shape[0] != n else problem.W2
     H = B.T @ problem.W1 @ B + problem.sigma * W2
     g = -B.T @ problem.W1 @ problem.target - problem.sigma * W2 @ du_pref
+    x = least_distance_solve(H, g, A, problem.ineq.b)
+    resid = B @ x - problem.target
+    pull = x - du_pref
+    return 0.5 * resid @ problem.W1 @ resid + 0.5 * problem.sigma * pull @ W2 @ pull, x
+
+
+def least_distance_solve(H, g, A, b):
+    """The minimizer of 0.5 x'Hx + g'x s.t. A x <= b, by NNLS (see nnls_objective)."""
     L = np.linalg.cholesky(H)
     G = -solve_triangular(L, A.T, lower=True).T
-    h = -problem.ineq.b - A @ cho_solve((L, True), g)
+    h = -b - A @ cho_solve((L, True), g)
     E = np.vstack([G.T, h[None, :]])
-    f = np.zeros(n + 1)
+    f = np.zeros(H.shape[0] + 1)
     f[-1] = 1.0
     w, _ = nnls(E, f, maxiter=50 * E.shape[1])
     r = E @ w - f
     assert abs(r[-1]) > 1e-14, "least-distance program infeasible"
     z = -r[:-1] / r[-1]
-    x = solve_triangular(L.T, z - solve_triangular(L, g, lower=True), lower=False)
-    resid = B @ x - problem.target
-    pull = x - du_pref
-    return 0.5 * resid @ problem.W1 @ resid + 0.5 * problem.sigma * pull @ W2 @ pull, x
+    return solve_triangular(L.T, z - solve_triangular(L, g, lower=True), lower=False)
 
 
 def qp_objective(problem, x, n=None):
@@ -255,3 +263,110 @@ def test_iteration_cap_returns_feasible():
     res = allocate_qp(problem, solver=ActiveSetQP(max_iter=2))
     assert res.status in ("Optimal", "IterationCap")
     assert np.all(problem.ineq.A @ res.delta_u <= problem.ineq.b + 1e-9)
+
+
+def direct_qp(problem, Phi):
+    """H, g, A Phi and b of the problem's QP (identity weights) formed per
+    call, with the pull projected through Phi by least squares: the
+    uncompiled reference that CompiledQP is checked against."""
+    B = problem.B_eff @ Phi
+    pull = np.linalg.lstsq(Phi, problem.u_star - problem.u0, rcond=None)[0]
+    H = B.T @ B + problem.sigma * np.eye(Phi.shape[1])
+    g = -B.T @ problem.target - problem.sigma * pull
+    return H, g, problem.ineq.A @ Phi, problem.ineq.b
+
+
+def test_compiled_feasibility_check_is_exact():
+    # the unconstrained minimizer overshoots a rate row by about 1e-10: no
+    # tolerance may accept it, so the tick goes to the active-set solver
+    problem = make_problem(m=2, B=np.eye(2), sigma=1e-3, target=[0.0, 0.0])
+    compiled = CompiledQP(problem.B_eff, np.eye(2), np.eye(2), 1e-3, problem.ineq.A)
+    problem.target = np.array([(1.2 + 1e-10) * (1.0 + 1e-3), 0.0])
+    over = np.max(problem.ineq.A @ (compiled.M @ problem.target) - problem.ineq.b)
+    assert 0.0 < over < 1e-9
+    res = allocate_qp(problem, compiled=compiled)
+    assert res.active_set and res.iterations > 1
+    assert np.all(problem.ineq.A @ res.delta_u <= problem.ineq.b)
+
+def test_compiled_solve_matches_cold_active_set_and_nnls():
+    # random servo-space and virtual problems, compiled once from the full
+    # limit matrix, on the full inequality and on the rate box, with and
+    # without a preferred-command pull.  The compiled QP equals the one
+    # formed directly; its solve (one product on a non-binding tick) equals
+    # a cold active-set solve of that QP, and the NNLS optimum
+    rng = np.random.default_rng(2024)
+    kinds = dict.fromkeys([(v, box, bind) for v in (0, 1) for box in (0, 1) for bind in (0, 1)], 0)
+    for k in range(400):
+        virtual, box = k % 2, (k // 2) % 2
+        m = 12 if virtual else int(rng.integers(2, 8))
+        Phi = build_basis(LOCS12, 1.8, int(rng.integers(2, 7))).Phi if virtual else np.eye(m)
+        u0 = rng.uniform(-5.0, 5.0, size=m)
+        u_star = u0 + (rng.uniform(-20.0, 20.0, size=m) if k % 3 else 0.0)
+        problem = make_problem(
+            m=m, seed=int(rng.integers(0, 2**31)), sigma=float(rng.uniform(1e-4, 1e-2)),
+            target=rng.uniform(-1.0, 1.0, size=2) * 10.0 ** rng.uniform(-2.0, 2.5),
+            u0=u0, u_star=u_star, dt=float(rng.uniform(0.005, 0.03)),
+        )
+        compiled = CompiledQP(problem.B_eff, np.eye(2), np.eye(Phi.shape[1]), problem.sigma,
+                              problem.ineq.A, Phi if virtual else None)
+        if box:
+            problem.ineq = rate_box(InputLimits(
+                u_min=-30.0 * np.ones(m), u_max=30.0 * np.ones(m), rate_min=-80.0 * np.ones(m),
+                rate_max=80.0 * np.ones(m), u_adj=10.0 * np.ones(m - 1), dt=0.015))
+        H, g, A, b = direct_qp(problem, Phi)
+        g_c = compiled.G @ problem.target - compiled.S @ (problem.u_star - problem.u0)
+        A_c = compiled.A[-b.size:]
+        np.testing.assert_allclose(compiled.H, H, rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(g_c, g, rtol=0.0, atol=1e-12 * np.max(np.abs(g)))
+        np.testing.assert_allclose(A_c, A, rtol=0.0, atol=1e-14)
+
+        if virtual:
+            res = allocate_qp_virtual(problem, Phi, compiled=compiled)
+            x = res.delta_u_virtual
+        else:
+            res = allocate_qp(problem, compiled=compiled)
+            x = res.delta_u
+        x_ref, _, active_ref, status_ref = ActiveSetQP().solve(H, g_c, A_c, b)
+        assert res.status == status_ref, k
+        assert np.max(np.abs(x - x_ref)) <= 1e-9, (k, np.max(np.abs(x - x_ref)))
+        assert bool(res.active_set) == bool(active_ref), k
+        assert res.iterations == 1 if not res.active_set else res.iterations > 1, k
+        assert np.all(A @ x <= b + 1e-9), k
+        if res.status == "Optimal":
+            x_nnls = least_distance_solve(H, g, A, b)
+            f_ref = 0.5 * x_nnls @ H @ x_nnls + g @ x_nnls
+            assert 0.5 * x @ H @ x + g @ x - f_ref <= 1e-7 * (1.0 + abs(f_ref)), k
+        kinds[virtual, box, bool(res.active_set)] += 1
+    # every combination of route, inequality and binding is exercised
+    assert min(kinds.values()) >= 10, kinds
+
+
+@pytest.mark.parametrize("controller, binding_ticks", [("indi-qp-v", 108), ("indi-qp", 116)])
+def test_controller_commands_match_cold_uncompiled_resolve(monkeypatch, controller,
+                                                           binding_ticks):
+    # the fy+35% harsh run (noise, fault, backlash): on every tick the
+    # compiled, warm-started allocation is within 1e-9 deg of a cold solve
+    # of the same problem's QP formed directly, and as many ticks bind
+    cfg = harness.mla_config("fy+35%")
+    cfg.controller = controller
+    cfg.noise.enabled = cfg.fault.enabled = cfg.actuators.backlash = True
+    captured = []
+    for name in ("allocate_qp", "allocate_qp_virtual"):
+        def keep(problem, *args, _alloc=getattr(indi, name), **kwargs):
+            res = _alloc(problem, *args, **kwargs)
+            captured.append((problem, res))
+            return res
+        monkeypatch.setattr(indi, name, keep)
+    log, _ = harness.run_scenario(cfg, pair_open_loop=False)
+    assert len(captured) == log.t.size
+    Phi = harness.build_basis(harness.build_model(cfg).locations, cfg.plant.half_span,
+                              cfg.q).Phi if controller == "indi-qp-v" else np.eye(cfg.plant.m)
+    worst = 0.0
+    for problem, res in captured:
+        x, _, active, status = ActiveSetQP().solve(*direct_qp(problem, Phi))
+        assert status == res.status == "Optimal"
+        assert bool(active) == bool(res.active_set)
+        worst = max(worst, np.max(np.abs(Phi @ x - res.delta_u)))
+    assert worst <= 1e-9, worst
+    assert sum(bool(res.active_set) for _, res in captured) == binding_ticks
+    assert int(log.sat_flags.sum()) == binding_ticks

@@ -39,11 +39,23 @@ def test_run_writes_csv_and_exits_zero(tmp_path):
     ("actuators: {delay: -0.01}\n", "actuators.delay"),
     ("actuators: {delay: 0.0155}\n", "actuators.delay"),
     ("actuators: {delay: 0.022}\n", "actuators.delay"),
+    ("indi: {sigma: 2.0}\n", "indi.sigma"),
+    ("indi: {sigma: 0}\n", "indi.sigma"),
+    ("indi: {k_gain: 0}\n", "indi.k_gain"),
+    ("indi: {k_gain: -0.1}\n", "indi.k_gain"),
+    ("limits: {position: 0}\n", "limits.position"),
+    ("limits: {rate: -80}\n", "limits.rate"),
+    ("limits: {adj_even: .inf}\n", "limits.adj_even"),
+    ("limits: {adj_odd: .nan}\n", "limits.adj_odd"),
+    ("q: 1\n", "q must"),
 ], ids=["unknown-key", "duration-not-a-number", "duration-negative", "noise-std-not-a-number",
         "q-above-servo-count", "duration-under-one-plant-step", "servo-count-not-twelve",
         "lag-filter-too-fast-for-tick", "servo-filter-too-fast-for-tick", "gust-frequency-zero",
         "gust-speed-zero", "servo-damping-zero", "noise-damping-negative", "delay-negative",
-        "delay-not-whole-plant-steps", "delay-not-whole-controller-ticks"])
+        "delay-not-whole-plant-steps", "delay-not-whole-controller-ticks", "sigma-above-one",
+        "sigma-zero", "k-gain-zero", "k-gain-negative", "position-limit-zero",
+        "rate-limit-negative", "adj-even-limit-infinite", "adj-odd-limit-nan",
+        "q-one-loses-row-rank-for-qp-v"])
 def test_bad_config_key_exits_one(tmp_path, body, field):
     path = tmp_path / "bad.yaml"
     path.write_text(body)

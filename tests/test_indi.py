@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from morphwing.constraints import InputLimits
-from morphwing.errors import GainNotContractive, NotHurwitz, RankDeficient
+from morphwing.errors import DimensionMismatch, GainNotContractive, NotHurwitz, RankDeficient
 from morphwing.indi import (
     IndiController,
     LagModel,
@@ -94,6 +94,14 @@ class TestControllerStep:
         with pytest.raises(RankDeficient):
             IndiController(B, np.diag([0.1, 0.1]), make_limits(), 0.015,
                            mode="qp-v", basis=build_basis(locs, 1.8, 1), lag_model=None)
+
+    @pytest.mark.parametrize("mode, sigma", [("qp", 0.0), ("qp-v", 0.0), ("qp-v", 1.0)])
+    def test_sigma_outside_unit_interval_raises_at_construction(self, mode, sigma):
+        # the compiled QP needs H = B'B + sigma I positive definite
+        B, locs = make_b_eff()
+        with pytest.raises(DimensionMismatch):
+            IndiController(B, np.diag([0.1, 0.1]), make_limits(), 0.015, mode=mode,
+                           basis=build_basis(locs, 1.8, 5), sigma=sigma, lag_model=None)
 
     def test_on_target_holds_command(self):
         # measurement equals the pseudo-control and the preferred command
