@@ -24,7 +24,8 @@ class InputLimits:
     u_adj bounds |u[i] - u[i+1]| for each adjacent pair (deg, length
     m-1), dt is the controller period the rate bounds act over.  The
     run-constant parts of A du <= b are built here once, read-only: the
-    adjacency matrix C, the matrix A and the rate rows' b_rate.
+    adjacency matrix C, the matrix A, the rate rows' b_rate, and E and b0
+    with b = b0 + E u0 at a command u0.
     """
 
     u_min: np.ndarray
@@ -55,7 +56,9 @@ class InputLimits:
         I = np.eye(m)
         self.C, self.A = C, np.vstack([I, -I, C, -C, I, -I])
         self.b_rate = np.concatenate([self.rate_max * self.dt, -self.rate_min * self.dt])
-        for a in (self.C, self.A, self.b_rate):
+        self.E = np.vstack([-I, I, -C, C, np.zeros((2 * m, m))])
+        self.b0 = np.concatenate([self.u_max, -self.u_min, self.u_adj, self.u_adj, self.b_rate])
+        for a in (self.C, self.A, self.b_rate, self.E, self.b0):
             a.flags.writeable = False
 
     @property
@@ -89,19 +92,14 @@ def assemble(limits, u0):
     rate-limited retreat direction always stays feasible.  If u0 violates
     a relative bound (possible after a fault) the inequality would
     exclude du = 0; that is surfaced as InfeasibleCurrentState.  A is the
-    limits' shared read-only matrix; b is built fresh on every call.
+    limits' shared read-only matrix; b = b0 + E u0 is built fresh on
+    every call.  E holds only +/-1 and zeros, so b equals the row-by-row
+    u_max - u0, u0 - u_min, u_adj -/+ C u0 bit for bit.
     """
     u0 = np.clip(np.asarray(u0, dtype=float), limits.u_min, limits.u_max)
+    b = limits.b0 + limits.E @ u0
     m = limits.m
-    Cu = limits.C @ u0
-    b = np.concatenate([
-        limits.u_max - u0,
-        -limits.u_min + u0,
-        limits.u_adj - Cu,
-        limits.u_adj + Cu,
-        limits.b_rate,
-    ])
-    if np.any(b[2 * m:4 * m - 2] < -POSITION_SLACK):
+    if b[2 * m:4 * m - 2].min() < -POSITION_SLACK:
         raise InfeasibleCurrentState(
             "current command violates a relative-position bound; du = 0 excluded"
         )

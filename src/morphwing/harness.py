@@ -209,7 +209,8 @@ class ScenarioConfig:
                 f"plant.m must be {DEFAULT_LOCATIONS.size}, the fixed servo count, got {self.plant.m}")
         if not 0.0 < self.indi.sigma < 1.0:
             raise ConfigError(f"indi.sigma must be in (0, 1), got {self.indi.sigma!r}")
-        q_min = 2 if self.controller == "indi-qp-v" else 1   # B_eff Phi keeps both load rows
+        # indi-qp-v's B_eff Phi keeps both load rows; lqg's q shape inputs drive two integral states
+        q_min = 2 if self.controller in ("indi-qp-v", "lqg") else 1
         if not q_min <= self.q <= self.plant.m:
             raise ConfigError(f"q must be in {q_min}..{self.plant.m} for {self.controller}, "
                               f"got {self.q}")

@@ -16,7 +16,6 @@ The increment itself is still taken from the last issued command, so
 the compiled position/rate/relative constraints remain exact.
 """
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,28 +35,33 @@ def pseudo_control(e, y_r_dot, K):
 class LagModel:
     """Discrete model of the command-to-measurement lag chain.
 
-    A cascade of second-order sections plus an integer-tick transport
-    delay, run on the commanded-load vector.  Feeding the commanded
-    loads through this model yields the part of the command history the
-    measurement has already caught up with.
+    An integer-tick transport delay followed by a cascade of
+    second-order sections, run on the commanded-load vector from rest.
+    Feeding the commanded loads through this model yields the part of
+    the command history the measurement has already caught up with.
+    The delay line (a delay_ticks-state shift register) and the
+    sections' state-space blocks are joined in series once, into one
+    map T = [[A, B], [C, D]], so a step is one product with [x; v].
     """
 
     def __init__(self, filters, delay_ticks, channels=2):
         self.filters = list(filters)
-        self.delay = deque(
-            [np.zeros(channels) for _ in range(delay_ticks)]
-        ) if delay_ticks > 0 else None
+        self.delay_ticks = d = delay_ticks
+        A, B, C, D = np.eye(d, k=1), np.eye(d, 1, k=1 - d), np.eye(1, d), np.eye(1) * (d == 0)
+        for f in self.filters:
+            A2, B2, C2, D2 = f.blocks.Ad, f.blocks.Bd, f.blocks.Cd, f.blocks.Dd
+            A = np.block([[A, np.zeros((len(A), len(A2)))], [B2 @ C, A2]])
+            B, C, D = np.vstack([B, B2 @ D]), np.hstack([D2 @ C, C2]), D2 @ D
+        self.T = np.block([[A, B], [C, D]])
+        self._xv = np.zeros((len(self.T), channels))   # [state; input], one column per channel
         self.last_output = np.zeros(channels)
 
     def step(self, v):
-        v = np.asarray(v, dtype=float)
-        if self.delay is not None:
-            out = self.delay.popleft()
-            self.delay.append(v.copy())
-            v = out
-        for f in self.filters:
-            v = f.step(v)
-        self.last_output = np.asarray(v, dtype=float)
+        xv = self._xv
+        xv[-1] = v
+        r = self.T @ xv
+        xv[:-1] = r[:-1]
+        self.last_output = r[-1]
         return self.last_output
 
 

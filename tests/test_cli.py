@@ -48,6 +48,7 @@ def test_run_writes_csv_and_exits_zero(tmp_path):
     ("limits: {adj_even: .inf}\n", "limits.adj_even"),
     ("limits: {adj_odd: .nan}\n", "limits.adj_odd"),
     ("q: 1\n", "q must"),
+    ("{controller: lqg, q: 1}\n", "q"),
 ], ids=["unknown-key", "duration-not-a-number", "duration-negative", "noise-std-not-a-number",
         "q-above-servo-count", "duration-under-one-plant-step", "servo-count-not-twelve",
         "lag-filter-too-fast-for-tick", "servo-filter-too-fast-for-tick", "gust-frequency-zero",
@@ -55,7 +56,7 @@ def test_run_writes_csv_and_exits_zero(tmp_path):
         "delay-not-whole-plant-steps", "delay-not-whole-controller-ticks", "sigma-above-one",
         "sigma-zero", "k-gain-zero", "k-gain-negative", "position-limit-zero",
         "rate-limit-negative", "adj-even-limit-infinite", "adj-odd-limit-nan",
-        "q-one-loses-row-rank-for-qp-v"])
+        "q-one-loses-row-rank-for-qp-v", "q-one-under-two-integral-states-for-lqg"])
 def test_bad_config_key_exits_one(tmp_path, body, field):
     path = tmp_path / "bad.yaml"
     path.write_text(body)

@@ -119,3 +119,38 @@ def test_rate_box_always_feasible():
     ineq = rate_box(lim)
     assert ineq.A.shape == (10, 5)
     assert np.all(ineq.b > 0.0)
+
+
+def row_by_row_b(limits, u0):
+    """assemble's b as the concatenation of its five pieces: the oracle for b = b0 + E u0."""
+    u0 = np.clip(np.asarray(u0, dtype=float), limits.u_min, limits.u_max)
+    Cu = limits.C @ u0
+    return np.concatenate([limits.u_max - u0, -limits.u_min + u0, limits.u_adj - Cu,
+                           limits.u_adj + Cu, limits.b_rate])
+
+
+def test_assemble_bound_is_bitwise_the_row_by_row_formula():
+    rng = np.random.default_rng(8)
+    lim = make_limits(12, u_adj=[55.0 if i % 2 == 0 else 10.0 for i in range(11)])
+    assert lim.E.flags.writeable is False and lim.b0.flags.writeable is False
+    edges = [np.zeros(12), -np.zeros(12), np.full(12, 30.0), np.tile([30.0, 20.0], 6)]
+    for k in range(3000):
+        s = 1.0 if k % 2 else -1.0
+        if k < len(edges):
+            u0 = edges[k]
+        elif k % 3 == 0:
+            u0 = rng.uniform(-25.0, 25.0) + rng.uniform(-4.0, 4.0, 12)
+        elif k % 3 == 1:
+            # a few servos marginally outside the position bounds: the clip path
+            u0 = s * (30.0 - rng.uniform(0.0, 4.0, 12))
+            u0[rng.integers(12, size=3)] = s * (30.0 + rng.uniform(0.0, 1e-6, 3))
+        else:
+            # an odd pair (bound 10) set 10.5 apart: the relative rows exclude du = 0
+            u0 = rng.uniform(-15.0, 15.0) + rng.uniform(-4.0, 4.0, 12)
+            i = 2 * rng.integers(5) + 1
+            u0[i + 1] = u0[i] + s * 10.5
+            assert row_by_row_b(lim, u0)[24:46].min() < -1e-6
+            with pytest.raises(InfeasibleCurrentState):
+                assemble(lim, u0)
+            continue
+        assert np.array_equal(assemble(lim, u0).b, row_by_row_b(lim, u0)), k

@@ -96,7 +96,7 @@ class TestConfig:
         ctrl = build_controller(cfg, model, basis, build_limits(cfg))
         servo = ctrl.lag.filters[0]
         assert (servo.zeta, servo.omega) == (cfg.actuators.zeta, 20.0)
-        assert len(ctrl.lag.delay) == 2
+        assert ctrl.lag.delay_ticks == 2
 
     def test_lqg_delay_need_not_be_whole_ticks(self):
         # only the INDI lag model delays by whole ticks; the plant by whole plant steps

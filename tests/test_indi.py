@@ -1,8 +1,11 @@
 """Incremental controller and bound-certificate tests."""
 
+from collections import deque
+
 import numpy as np
 import pytest
 
+from morphwing import harness, indi
 from morphwing.constraints import InputLimits
 from morphwing.errors import DimensionMismatch, GainNotContractive, NotHurwitz, RankDeficient
 from morphwing.indi import (
@@ -79,6 +82,90 @@ class TestLagModel:
         without = default_lag_model(0.015, SERVO_ZETA, SERVO_OMEGA, 1,
                                     with_measurement_filter=False)
         assert len(with_f.filters) == len(without.filters) + 1
+
+
+class CascadeLag:
+    """The lag chain stepped section by section: a deque delay, then SecondOrderFilter.step.
+
+    Duck-types the compiled LagModel (.step, .last_output) as its oracle.
+    Channels that are one wide run on scalars, as SecondOrderFilter does.
+    """
+
+    def __init__(self, filters, delay_ticks, channels):
+        shape = (channels,) if channels > 1 else ()
+        self.filters = [SecondOrderFilter(f.zeta, f.omega, f.dt, channels=channels)
+                        for f in filters]
+        self.delay = deque(np.zeros(shape) for _ in range(delay_ticks))
+        self.last_output = np.zeros(shape)
+
+    def step(self, v):
+        v = np.asarray(v, dtype=float)
+        if self.delay:
+            self.delay.append(v.copy())
+            v = self.delay.popleft()
+        for f in self.filters:
+            v = f.step(v)
+        self.last_output = np.asarray(v, dtype=float)
+        return self.last_output
+
+
+@pytest.mark.parametrize("channels", [1, 2])
+@pytest.mark.parametrize("with_meas", [True, False])
+@pytest.mark.parametrize("delay_ticks", [0, 1, 2, 3])
+def test_compiled_lag_matches_section_cascade(delay_ticks, with_meas, channels):
+    lag = default_lag_model(0.015, SERVO_ZETA, SERVO_OMEGA, delay_ticks, channels=channels,
+                            with_measurement_filter=with_meas)
+    oracle = CascadeLag(lag.filters, delay_ticks, channels)
+    assert lag.delay_ticks == delay_ticks
+    assert lag.T.shape == (delay_ticks + 2 * len(lag.filters) + 1,) * 2
+    rng = np.random.default_rng(100 * delay_ticks + 10 * with_meas + channels)
+    shape = (channels,) if channels > 1 else ()
+    for k in range(300):
+        v = rng.uniform(-50.0, 50.0, size=shape)
+        got, want = lag.step(v), oracle.step(v)
+        assert got.shape == (channels,)
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want))), k
+        assert np.array_equal(lag.last_output, got)
+
+
+@pytest.mark.parametrize("controller, binding_ticks", [("indi-qp-v", 108), ("indi-qp", 116)])
+def test_controller_with_compiled_lag_matches_cascade_lag(monkeypatch, controller,
+                                                          binding_ticks):
+    # the fy+35% harsh run (noise, fault, backlash): its tick inputs replayed
+    # through two fresh controllers, one hedging with the compiled lag model
+    # and one with the section-by-section cascade, give the same commands
+    cfg = harness.mla_config("fy+35%")
+    cfg.controller = controller
+    cfg.noise.enabled = cfg.fault.enabled = cfg.actuators.backlash = True
+    ticks, step = [], indi.IndiController.step
+
+    def keep(ctrl, y_meas, y_ref):
+        ticks.append((np.array(y_meas, dtype=float), np.array(y_ref, dtype=float)))
+        return step(ctrl, y_meas, y_ref)
+
+    monkeypatch.setattr(indi.IndiController, "step", keep)
+    log, _ = harness.run_scenario(cfg, pair_open_loop=False)
+    monkeypatch.undo()
+    model = harness.build_model(cfg)
+    basis = harness.build_basis(model.locations, cfg.plant.half_span, cfg.q)
+    limits = harness.build_limits(cfg)
+    compiled = harness.build_controller(cfg, model, basis, limits)
+    cascade = harness.build_controller(cfg, model, basis, limits)
+    cascade.lag = CascadeLag(compiled.lag.filters, compiled.lag.delay_ticks, 2)
+    assert compiled.lag.delay_ticks == round(cfg.actuators.delay / cfg.dt_ctrl)
+
+    def replay(ctrl):
+        u, binding = [], 0
+        for y_meas, y_ref in ticks:
+            u.append(ctrl.step(y_meas, y_ref))
+            binding += bool(ctrl.last["active_set"])
+        return np.array(u), binding
+
+    (u_compiled, binding_compiled), (u_cascade, binding_cascade) = map(replay, (compiled, cascade))
+    assert np.array_equal(u_compiled, log.u)
+    worst = np.max(np.abs(u_compiled - u_cascade))
+    assert worst <= 5e-9, worst
+    assert binding_compiled == binding_cascade == binding_ticks
 
 
 class TestControllerStep:
