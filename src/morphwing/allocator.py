@@ -100,7 +100,9 @@ class ActiveSetQP:
         for iterations in range(1, self.max_iter + 1):
             x_eq, lam = self._kkt_solve(H, g, A, b, working)
             step = x_eq - x
-            if np.max(np.abs(step)) <= 1e-12:
+            # relative to |x_eq|: a rounding-sized step is no move, or a
+            # dependent row joins, leaves and the solver cycles
+            if np.max(np.abs(step)) <= 1e-11 * max(1.0, np.max(np.abs(x_eq))):
                 # at the working-set minimizer: optimal unless a
                 # negative multiplier says a constraint should leave
                 if len(working) == 0 or np.min(lam) >= -self.tol:

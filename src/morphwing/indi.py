@@ -23,7 +23,13 @@ import numpy as np
 from .allocator import AllocationProblem, CompiledQP, allocate_qp, allocate_qp_virtual
 from .constraints import assemble, rate_box
 from .errors import GainNotContractive, InfeasibleCurrentState, NotHurwitz, RankDeficient
-from .numerics import SecondOrderFilter, hurwitz_margin, pseudo_inverse, solve_lyapunov
+from .numerics import (
+    SecondOrderFilter,
+    delay_chain,
+    hurwitz_margin,
+    pseudo_inverse,
+    solve_lyapunov,
+)
 from .plant import MEAS_OMEGA, MEAS_ZETA
 
 
@@ -46,12 +52,8 @@ class LagModel:
 
     def __init__(self, filters, delay_ticks, channels=2):
         self.filters = list(filters)
-        self.delay_ticks = d = delay_ticks
-        A, B, C, D = np.eye(d, k=1), np.eye(d, 1, k=1 - d), np.eye(1, d), np.eye(1) * (d == 0)
-        for f in self.filters:
-            A2, B2, C2, D2 = f.blocks.Ad, f.blocks.Bd, f.blocks.Cd, f.blocks.Dd
-            A = np.block([[A, np.zeros((len(A), len(A2)))], [B2 @ C, A2]])
-            B, C, D = np.vstack([B, B2 @ D]), np.hstack([D2 @ C, C2]), D2 @ D
+        self.delay_ticks = delay_ticks
+        A, B, C, D = delay_chain(delay_ticks, self.filters)
         self.T = np.block([[A, B], [C, D]])
         self._xv = np.zeros((len(self.T), channels))   # [state; input], one column per channel
         self.last_output = np.zeros(channels)

@@ -111,51 +111,65 @@ def solve_care(A, B, Q, R):
 
 
 class BlockMap:
-    """k steps of x+ = Ad x + Bd u, y = Cd x + Dd u as two matrix products.
+    """k steps of x+ = Ad x + Bd u, y = Cd x + Dd u as one matrix product.
 
-    The block-Toeplitz trajectory matrices map [x0; u_0; ...; u_{k-1}] to
-    the stacked outputs y_0..y_{k-1} and to the states x_1..x_k.  They are
-    built for the longest run asked for so far; a shorter run uses their
-    leading blocks.  Input rows are the steps; any trailing columns of x
-    and u are independent channels sharing the system.
+    tick(k) stacks the block-Toeplitz trajectory matrices that map
+    [x0; u_0; ...; u_{k-1}] to the state x_k and the outputs
+    y_0..y_{k-1}, built once per block length.  Input rows are the
+    steps; any trailing columns of x and u are independent channels
+    sharing the system.
     """
 
     def __init__(self, Ad, Bd, Cd, Dd):
         self.Ad, self.Bd, self.Cd, self.Dd = (np.atleast_2d(np.asarray(M, dtype=float))
                                               for M in (Ad, Bd, Cd, Dd))
-        self.n = 0
+        self._ticks = {}
 
-    def _build(self, n):
-        Ad, Bd, Cd, Dd = self.Ad, self.Bd, self.Cd, self.Dd
-        (ns, nu), p = Bd.shape, Cd.shape[0]
-        powers = [np.eye(ns)]
-        for _ in range(n):
-            powers.append(Ad @ powers[-1])
-        self.outputs = np.zeros((n * p, ns + n * nu))
-        self.states = np.zeros((n * ns, ns + n * nu))
-        for j in range(n):
-            y, x = slice(j * p, (j + 1) * p), slice(j * ns, (j + 1) * ns)
-            self.outputs[y, :ns] = Cd @ powers[j]
-            self.states[x, :ns] = powers[j + 1]
-            for i in range(j + 1):
-                u = slice(ns + i * nu, ns + (i + 1) * nu)
-                self.states[x, u] = powers[j - i] @ Bd
-                self.outputs[y, u] = Dd if i == j else Cd @ powers[j - 1 - i] @ Bd
-        self.n = n
+    def tick(self, k, held=False):
+        """[x0; u_0; ...; u_{k-1}] -> [x_k; y_0; ...; y_{k-1}] as one matrix.
 
-    def run(self, x, U):
-        """Outputs of len(U) steps from state x, and the state after them.
-
-        Returns the outputs stacked as (len(U) * p, channels) and the final
-        state as (ns, channels).
+        held=True sums the input columns, for an input held over the k
+        steps: the matrix then takes [x0; u].  The state rows come first:
+        with OpenBLAS's gemv on x86-64 that keeps each output row bit for
+        bit what a product with the output rows alone gives.
         """
-        k = len(U)
-        if k > self.n:
-            self._build(k)
-        (ns, nu), p = self.Bd.shape, self.Cd.shape[0]
-        xu = np.concatenate([x.reshape(ns, -1), U.reshape(k * nu, -1)])
-        cols = ns + k * nu
-        return self.outputs[:k * p, :cols] @ xu, self.states[(k - 1) * ns:k * ns, :cols] @ xu
+        key = (k, held)
+        if key not in self._ticks:
+            Ad, Bd, Cd, Dd = self.Ad, self.Bd, self.Cd, self.Dd
+            (ns, nu), p = Bd.shape, Cd.shape[0]
+            powers = [np.eye(ns)]
+            for _ in range(k):
+                powers.append(Ad @ powers[-1])
+            M = np.zeros((ns + k * p, ns + k * nu))
+            M[:ns, :ns] = powers[k]
+            u = [slice(ns + i * nu, ns + (i + 1) * nu) for i in range(k)]
+            for j in range(k):
+                y = slice(ns + j * p, ns + (j + 1) * p)
+                M[y, :ns] = Cd @ powers[j]
+                M[:ns, u[j]] = powers[k - 1 - j] @ Bd
+                for i in range(j + 1):
+                    M[y, u[i]] = Dd if i == j else Cd @ powers[j - 1 - i] @ Bd
+            if held:
+                M = np.hstack([M[:, :ns], M[:, ns:].reshape(len(M), k, nu).sum(axis=1)])
+            self._ticks[key] = M
+        return self._ticks[key]
+
+
+def delay_chain(delay, sections):
+    """(A, B, C, D) of a delay-step shift register and SecondOrderFilter
+    sections in series, for one channel.
+
+    The register's oldest entry feeds the first section (the input
+    itself when delay is 0); the states are the registers, oldest first,
+    then two per section.
+    """
+    d = delay
+    A, B, C, D = np.eye(d, k=1), np.eye(d, 1, k=1 - d), np.eye(1, d), np.eye(1) * (d == 0)
+    for f in sections:
+        A2, B2, C2, D2 = f.blocks.Ad, f.blocks.Bd, f.blocks.Cd, f.blocks.Dd
+        A = np.block([[A, np.zeros((len(A), len(A2)))], [B2 @ C, A2]])
+        B, C, D = np.vstack([B, B2 @ D]), np.hstack([D2 @ C, C2]), D2 @ D
+    return A, B, C, D
 
 
 class SecondOrderFilter:
@@ -183,7 +197,7 @@ class SecondOrderFilter:
             (k * k - 2.0 * zeta * omega * k + omega * omega) / a0,
         ])
         self.state = np.zeros((2, channels)) if channels > 1 else np.zeros(2)
-        # the same recursion in state-space form, for run()
+        # the same recursion in state-space form, for delay_chain and the plant maps
         a0, a1 = self.a
         b0, b1, b2 = self.b
         self.blocks = BlockMap([[-a0, 1.0], [-a1, 0.0]], [[b1 - a0 * b0], [b2 - a1 * b0]],
@@ -195,13 +209,6 @@ class SecondOrderFilter:
         self.state[0] = self.b[1] * x - self.a[0] * y + self.state[1]
         self.state[1] = self.b[2] * x - self.a[1] * y
         return y
-
-    def run(self, X):
-        """step() over each row of X, through the block maps."""
-        X = np.asarray(X, dtype=float)
-        Y, state = self.blocks.run(self.state, X)
-        self.state = state.reshape(self.state.shape)
-        return Y.reshape(X.shape)
 
     def continuous_magnitude(self, w):
         """|H(jw)| of the underlying continuous-time filter."""

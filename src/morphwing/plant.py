@@ -7,11 +7,13 @@ measurement noise, and the measurement low-pass filter.  Runs at a fixed
 1 kHz step while controllers tick every 15th step.
 
 The twin advances a block of plant steps per call (one controller tick)
-with the command held.  Everything before and after the backlash is
-linear, so each linear section runs its whole block as one product with
-precomputed block maps (numerics.BlockMap): the servo filter, the modal
-RK4 step, the noise shaping and the measurement low pass.  Backlash, the
-only nonlinearity, runs row by row between the two.
+with the command held, as two products with maps precomputed from the
+per-step recursions (numerics.BlockMap) around backlash, the only
+nonlinearity, which runs row by row.  Before it, the transport delay and
+the servo section form one map whose input is the held command.  After
+it, the modal RK4 step, the noise-shaping filter and the measurement low
+pass form one map with inputs [u_eff, alpha, white noise].  The time
+grid and the gust angle are evaluated a chunk of steps at a time.
 """
 
 from dataclasses import dataclass
@@ -19,13 +21,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadDimension, NonFiniteState
-from .numerics import BlockMap, SecondOrderFilter, integrate_step
+from .numerics import BlockMap, SecondOrderFilter, delay_chain, integrate_step
 
 DT_PLANT = 0.001
 DEFAULT_LOCATIONS = np.linspace(0.15, 1.8, 12)
 # Servo section and measurement low pass of the bench: damping, rad/s.
 SERVO_ZETA, SERVO_OMEGA = 0.71, 16.52
 MEAS_ZETA, MEAS_OMEGA = 0.8, 10.0
+# Plant steps of time grid and gust angle evaluated at once.
+GUST_CHUNK = 1000
 
 
 @dataclass
@@ -142,10 +146,13 @@ def gust_angle(profile, t):
 class ActuatorBank:
     """m parallel actuator channels: delay, servo lag, backlash, scaling.
 
-    The transport delay is a history of the last `depth` plant-rate
-    commands.  instant=True bypasses delay/lag/backlash entirely (used by
-    the certificate identity scenario where the command must take effect
-    within one tick).
+    The transport delay (`depth` plant-step registers, oldest first) and
+    the servo section are one linear map per channel with depth + 2
+    states.  A block holds one command, so its map (built once per block
+    length) takes [state; command] and returns every step's servo output
+    and the new state in one product.  instant=True bypasses
+    delay/lag/backlash entirely (used by the certificate identity
+    scenario where the command must take effect within one tick).
     """
 
     def __init__(self, m, dt=DT_PLANT, zeta=SERVO_ZETA, omega=SERVO_OMEGA, delay_s=0.015,
@@ -154,8 +161,10 @@ class ActuatorBank:
         self.m = m
         self.instant = instant
         self.depth = int(round(delay_s / dt))
-        self.history = np.zeros((self.depth, m))
         self.filter = SecondOrderFilter(zeta, omega, dt, channels=m)
+        self.servo = BlockMap(*delay_chain(self.depth, [self.filter]))
+        # [delay registers, oldest first; servo states; command], one column per channel
+        self._xu = np.zeros((self.depth + 3, m))
         self.backlash_on = backlash_on
         self.k1, self.k2 = k1, k2
         self.u_f_plus, self.u_f_minus = u_f_plus, u_f_minus
@@ -167,12 +176,13 @@ class ActuatorBank:
 
     def advance(self, u_cmd, n):
         """Effective deflections over n plant steps with u_cmd held, one row per step."""
-        held = np.repeat(np.asarray(u_cmd, dtype=float)[None], n, axis=0)
+        u = np.asarray(u_cmd, dtype=float)
         if self.instant:
-            return self.scales * held
-        held = np.concatenate([self.history, held])
-        self.history = held[n:]
-        v = self.filter.run(held[:n])
+            return np.tile(self.scales * u, (n, 1))
+        xu, ns = self._xu, len(self._xu) - 1
+        xu[-1] = u
+        r = self.servo.tick(n, held=True) @ xu
+        xu[:-1], v = r[:ns], r[ns:]
         if self.backlash_on:
             for row in v:
                 self.tau = row[:] = backlash_step(self.tau, row, self.k1, self.k2,
@@ -217,11 +227,7 @@ class NoiseModel:
         self.gain = self.std / _white_noise_output_std(self.filter)
 
     def step(self):
-        return self.advance(1)[0]
-
-    def advance(self, n):
-        """n samples, one row each: one draw of (n, channels) through the filter."""
-        return self.gain * self.filter.run(self.rng.standard_normal((n, self.std.size)))
+        return self.gain * self.filter.step(self.rng.standard_normal(self.std.size))
 
 
 @dataclass
@@ -238,12 +244,19 @@ class PlantOutput:
 class WingSimulator:
     """Fixed-step closed-loop environment at the plant rate.
 
-    The modal block map is the RK4 step of integrate_step, read off one
-    step of the system augmented with the held forcing f (f' = 0): the
-    state rows of that step are [P(hA), h Q(hA)] in
-    x+ = P(hA) x + h Q(hA) f.  Its inputs are the effective deflections
-    and the gust angle, its outputs the loads C x+ + D u_eff after each
-    step.
+    A block of n steps with the command held is two products around the
+    backlash loop: the actuator bank's held-command map, then one
+    post-backlash map.  The modal part of that map is the RK4 step of
+    integrate_step, read off one step of the system augmented with the
+    held forcing f (f' = 0): the state rows of that step are
+    [P(hA), h Q(hA)] in x+ = P(hA) x + h Q(hA) f, with the effective
+    deflections and the gust angle as inputs and the loads C x+ + D u_eff
+    after each step as outputs.  With noise, the same map also takes the
+    white noise and holds the noise-shaping filter (its gain folded in)
+    and the measurement low pass, so it returns [y_true, y_raw, y_filt];
+    without noise it is the modal map alone.  `state` is the map's state
+    and `x` its modal part.  The time grid and the gust angle are
+    evaluated GUST_CHUNK steps at a time, as the same running sum of dt.
     """
 
     def __init__(self, model, actuators=None, noise=None, gust=None, dt=DT_PLANT):
@@ -252,10 +265,8 @@ class WingSimulator:
         self.actuators = actuators or ActuatorBank(model.B.shape[1], dt=dt)
         self.noise = noise
         self.gust = gust
-        # the low pass exists to fight measurement noise; noise-free runs bypass it
-        self.filter_measurements = noise is not None
         self.meas_filter = SecondOrderFilter(MEAS_ZETA, MEAS_OMEGA, dt, channels=2)
-        n = model.A.shape[0]
+        n = self._nx = model.A.shape[0]
         aug = np.zeros((2 * n, 2 * n))
         aug[:n, :n] = model.A
         aug[:n, n:] = np.eye(n)
@@ -263,9 +274,26 @@ class WingSimulator:
         Ad, Bd = rk4[:, :n], rk4[:, n:] @ np.hstack([model.B, model.B_g])
         Dd = model.C @ Bd
         Dd[:, :-1] += model.D
-        self.modal = BlockMap(Ad, Bd, model.C @ Ad, Dd)
-        self.x = np.zeros(n)
-        self.t = 0.0
+        post = (Ad, Bd, model.C @ Ad, Dd)
+        if noise is not None:
+            post = _measured(post, noise, self.meas_filter)
+        self.post = BlockMap(*post)
+        self.state = np.zeros(len(self.post.Ad))
+        self._times, self._alpha, self._k = np.zeros(1), np.zeros(0), 0
+
+    @property
+    def x(self):
+        """The modal state."""
+        return self.state[:self._nx]
+
+    @x.setter
+    def x(self, value):
+        self.state[:self._nx] = value
+
+    @property
+    def t(self):
+        """Time after the steps taken, the running sum of dt."""
+        return self._times[self._k]
 
     def step(self, u_cmd):
         """Advance one plant step with the command held constant."""
@@ -276,15 +304,60 @@ class WingSimulator:
     def advance(self, u_cmd, n):
         """Advance n plant steps with the command held; one output row per step."""
         u_eff = self.actuators.advance(u_cmd, n)
-        # the same running sum of dt as stepping one at a time
-        t = np.cumsum(np.concatenate([[self.t], np.full(n, self.dt)]))
-        alpha = gust_angle(self.gust, t[:n]) if self.gust is not None else np.zeros(n)
-        y_true, x = self.modal.run(self.x, np.column_stack([u_eff, alpha]))
-        if not np.all(np.isfinite(x)):
+        if self._k + n > len(self._alpha):
+            self._next_chunk(n)
+        k, ns, m = self._k, len(self.state), u_eff.shape[1]
+        alpha = self._alpha[k:k + n]
+        xu = np.empty(ns + n * self.post.Bd.shape[1])
+        xu[:ns] = self.state
+        U = xu[ns:].reshape(n, -1)
+        U[:, :m], U[:, m] = u_eff, alpha
+        if self.noise is not None:
+            # the white noise the noise model would draw, shaped inside the map
+            U[:, m + 1:] = self.noise.rng.standard_normal((n, self.noise.std.size))
+        r = self.post.tick(n) @ xu
+        if not np.isfinite(r[:ns]).all():
             raise NonFiniteState("plant block produced non-finite state")
-        self.x, self.t = x[:, 0], t[n]
-        y_true = y_true.reshape(n, 2)
-        y_raw = y_true + self.noise.advance(n) if self.noise is not None else y_true.copy()
-        y_filt = self.meas_filter.run(y_raw) if self.filter_measurements else y_raw.copy()
+        self.state, self._k = r[:ns], k + n
+        Y = r[ns:].reshape(n, -1)
+        if self.noise is None:
+            y_true, y_raw, y_filt = Y, Y.copy(), Y.copy()
+        else:
+            y_true, y_raw, y_filt = Y[:, :2], Y[:, 2:4], Y[:, 4:]
         return PlantOutput(y_true=y_true, y_raw=y_raw, y_filt=y_filt,
                            alpha_g=alpha, u_eff=u_eff)
+
+    def _next_chunk(self, n):
+        """Times and gust angles of the next max(n, GUST_CHUNK) steps; np.cumsum
+        is a sequential running sum, so t is bit for bit that of t += dt."""
+        k = max(n, GUST_CHUNK)
+        self._times = np.cumsum(np.concatenate([[self.t], np.full(k, self.dt)]))
+        self._alpha = (gust_angle(self.gust, self._times[:k]) if self.gust is not None
+                       else np.zeros(k))
+        self._k = 0
+
+
+def _measured(modal, noise, meas):
+    """The modal map with the colored noise and the measurement low pass behind it.
+
+    Inputs [u_eff, alpha, w] (w white), outputs [y_true, y_raw, y_filt],
+    states [x, shaping filter, low pass].  y_raw = y_true + gain (Cs s +
+    Ds w), and the low pass runs on y_raw.  Each filter's block is taken
+    once per load channel (a Kronecker product with I).
+    """
+    Am, Bm, Cm, Dm = modal
+    p, nx, nv = len(Cm), len(Am), Bm.shape[1]
+    sh, lp = noise.filter.blocks, meas.blocks
+    As, Bs, Cs, Ds = (np.kron(M, np.eye(p)) for M in (sh.Ad, sh.Bd, sh.Cd, sh.Dd))
+    Al, Bl, Cl, Dl = (np.kron(M, np.eye(p)) for M in (lp.Ad, lp.Bd, lp.Cd, lp.Dd))
+    Cs, Ds = noise.gain[:, None] * Cs, noise.gain[:, None] * Ds
+    ns, nl, O = len(As), len(Al), np.zeros
+    # y_raw over the states [x, s] and the inputs [u_eff, alpha, w]
+    Craw, Draw = np.hstack([Cm, Cs]), np.hstack([Dm, Ds])
+    A = np.block([[Am, O((nx, ns + nl))],
+                  [O((ns, nx)), As, O((ns, nl))],
+                  [Bl @ Craw, Al]])
+    B = np.block([[Bm, O((nx, p))], [O((ns, nv)), Bs], [Bl @ Draw]])
+    C = np.block([[Cm, O((p, ns + nl))], [Craw, O((p, nl))], [Dl @ Craw, Cl]])
+    D = np.block([[Dm, O((p, p))], [Draw], [Dl @ Draw]])
+    return A, B, C, D

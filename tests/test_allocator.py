@@ -288,6 +288,30 @@ def test_compiled_feasibility_check_is_exact():
     assert res.active_set and res.iterations > 1
     assert np.all(problem.ineq.A @ res.delta_u <= problem.ineq.b)
 
+def random_case(rng, k):
+    """Case k of a stream of random problems: servo-space (even k) or
+    virtual, on the full inequality or the rate box, every third without
+    a preferred-command pull.  Returns (problem, its CompiledQP built from
+    the full limit matrix, Phi, virtual, box)."""
+    virtual, box = k % 2, (k // 2) % 2
+    m = 12 if virtual else int(rng.integers(2, 8))
+    Phi = build_basis(LOCS12, 1.8, int(rng.integers(2, 7))).Phi if virtual else np.eye(m)
+    u0 = rng.uniform(-5.0, 5.0, size=m)
+    u_star = u0 + (rng.uniform(-20.0, 20.0, size=m) if k % 3 else 0.0)
+    problem = make_problem(
+        m=m, seed=int(rng.integers(0, 2**31)), sigma=float(rng.uniform(1e-4, 1e-2)),
+        target=rng.uniform(-1.0, 1.0, size=2) * 10.0 ** rng.uniform(-2.0, 2.5),
+        u0=u0, u_star=u_star, dt=float(rng.uniform(0.005, 0.03)),
+    )
+    compiled = CompiledQP(problem.B_eff, np.eye(2), np.eye(Phi.shape[1]), problem.sigma,
+                          problem.ineq.A, Phi if virtual else None)
+    if box:
+        problem.ineq = rate_box(InputLimits(
+            u_min=-30.0 * np.ones(m), u_max=30.0 * np.ones(m), rate_min=-80.0 * np.ones(m),
+            rate_max=80.0 * np.ones(m), u_adj=10.0 * np.ones(m - 1), dt=0.015))
+    return problem, compiled, Phi, virtual, box
+
+
 def test_compiled_solve_matches_cold_active_set_and_nnls():
     # random servo-space and virtual problems, compiled once from the full
     # limit matrix, on the full inequality and on the rate box, with and
@@ -297,22 +321,7 @@ def test_compiled_solve_matches_cold_active_set_and_nnls():
     rng = np.random.default_rng(2024)
     kinds = dict.fromkeys([(v, box, bind) for v in (0, 1) for box in (0, 1) for bind in (0, 1)], 0)
     for k in range(400):
-        virtual, box = k % 2, (k // 2) % 2
-        m = 12 if virtual else int(rng.integers(2, 8))
-        Phi = build_basis(LOCS12, 1.8, int(rng.integers(2, 7))).Phi if virtual else np.eye(m)
-        u0 = rng.uniform(-5.0, 5.0, size=m)
-        u_star = u0 + (rng.uniform(-20.0, 20.0, size=m) if k % 3 else 0.0)
-        problem = make_problem(
-            m=m, seed=int(rng.integers(0, 2**31)), sigma=float(rng.uniform(1e-4, 1e-2)),
-            target=rng.uniform(-1.0, 1.0, size=2) * 10.0 ** rng.uniform(-2.0, 2.5),
-            u0=u0, u_star=u_star, dt=float(rng.uniform(0.005, 0.03)),
-        )
-        compiled = CompiledQP(problem.B_eff, np.eye(2), np.eye(Phi.shape[1]), problem.sigma,
-                              problem.ineq.A, Phi if virtual else None)
-        if box:
-            problem.ineq = rate_box(InputLimits(
-                u_min=-30.0 * np.ones(m), u_max=30.0 * np.ones(m), rate_min=-80.0 * np.ones(m),
-                rate_max=80.0 * np.ones(m), u_adj=10.0 * np.ones(m - 1), dt=0.015))
+        problem, compiled, Phi, virtual, box = random_case(rng, k)
         H, g, A, b = direct_qp(problem, Phi)
         g_c = compiled.G @ problem.target - compiled.S @ (problem.u_star - problem.u0)
         A_c = compiled.A[-b.size:]
@@ -339,6 +348,25 @@ def test_compiled_solve_matches_cold_active_set_and_nnls():
         kinds[virtual, box, bool(res.active_set)] += 1
     # every combination of route, inequality and binding is exercised
     assert min(kinds.values()) >= 10, kinds
+
+
+def test_stationarity_is_scale_aware_on_a_badly_scaled_vertex():
+    # case 5 of the stream above (virtual, q = 5, a pull of up to 20 deg):
+    # at a vertex with five working rows the KKT step is about 9e-12.  An
+    # absolute 1e-12 stationarity test took that for a move, so a dependent
+    # sixth row joined, was dropped, and the solver cycled to its cap
+    rng = np.random.default_rng(2024)
+    for k in range(6):
+        problem, _, Phi, _, _ = random_case(rng, k)
+    H, g, A, b = direct_qp(problem, Phi)
+    solver = ActiveSetQP()
+    x, iterations, active, status = solver.solve(H, g, A, b)
+    assert status == "Optimal"
+    assert 1 < iterations < solver.max_iter
+    assert np.all(A @ x <= b + 1e-9)
+    x_nnls = least_distance_solve(H, g, A, b)
+    gap = (0.5 * x @ H @ x + g @ x) - (0.5 * x_nnls @ H @ x_nnls + g @ x_nnls)
+    assert abs(gap) <= 1e-6
 
 
 @pytest.mark.parametrize("controller, binding_ticks", [("indi-qp-v", 108), ("indi-qp", 116)])

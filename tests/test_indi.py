@@ -244,6 +244,7 @@ class TestControllerStep:
         y_ref = np.array([5000.0, 0.0])
         ctrl.step(np.zeros(2), y_ref)
         assert max(ctrl.last["active_set"]) >= 46
+        assert ctrl.last["status"] == "Optimal"
         u_prev = ctrl.u_prev.copy()
         u_prev[1] += 20.0  # pair (1, 2) now breaks its 10-degree relative bound
         ctrl.u_prev = u_prev.copy()

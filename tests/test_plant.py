@@ -6,6 +6,7 @@ import pytest
 from morphwing.errors import BadDimension, NonFiniteState
 from morphwing.numerics import SecondOrderFilter, hurwitz_margin, integrate_step
 from morphwing.plant import (
+    GUST_CHUNK,
     ActuatorBank,
     GustProfile,
     NoiseModel,
@@ -200,10 +201,10 @@ class TestSimulator:
         model = synthesize_wing_model()
         clean = WingSimulator(model)
         noisy = WingSimulator(model, noise=NoiseModel(np.array([1.0, 1.0]), seed=0))
-        assert clean.filter_measurements is False
-        assert noisy.filter_measurements is True
         out = clean.step(np.ones(12))
         assert np.array_equal(out.y_filt, out.y_raw)
+        out = noisy.step(np.ones(12))
+        assert not np.array_equal(out.y_filt, out.y_raw)
 
     def test_step_response_reaches_static_gain(self):
         model = synthesize_wing_model()
@@ -271,8 +272,11 @@ def chain(noise=False, fault=False, backlash=False, delay_s=0.015):
 class TestBlockSteps:
     @pytest.mark.parametrize("kw", [{}, {"noise": True}, {"noise": True, "fault": True},
                                     {"noise": True, "fault": True, "backlash": True},
-                                    {"backlash": True, "delay_s": 0.0}],
-                             ids=["clean", "noise", "fault", "backlash", "no-delay"])
+                                    {"backlash": True, "delay_s": 0.0},
+                                    {"noise": True, "backlash": True, "delay_s": 0.022},
+                                    {"noise": True, "fault": True, "delay_s": 0.040}],
+                             ids=["clean", "noise", "fault", "backlash", "no-delay",
+                                  "delay-22-steps", "delay-40-steps"])
     def test_advance_matches_per_step(self, kw):
         # 26 ticks of 15 plant steps and a final short block of 7
         rng = np.random.default_rng(11)
@@ -300,6 +304,23 @@ class TestBlockSteps:
             assert one.alpha_g == block.alpha_g[0]
 
     def test_non_finite_state_raises(self):
-        sim = chain(delay_s=0.0)
-        with pytest.raises(NonFiniteState):
-            sim.advance(np.full(12, np.nan), 15)
+        for noise in (False, True):
+            sim = chain(noise=noise, delay_s=0.0)
+            with pytest.raises(NonFiniteState):
+                sim.advance(np.full(12, np.nan), 15)
+
+    def test_time_and_gust_are_the_step_by_step_running_sum(self):
+        # 75 ticks and a short block outrun one GUST_CHUNK of plant steps;
+        # the time grid and the gust angle, evaluated a chunk at a time,
+        # are bit for bit those of t += dt one step at a time
+        blocks = [15] * 75 + [7]
+        assert sum(blocks) > GUST_CHUNK
+        sim = chain()
+        alpha = np.concatenate([sim.advance(np.zeros(12), n).alpha_g for n in blocks])
+        t, times = 0.0, []
+        for _ in range(sum(blocks)):
+            times.append(t)
+            t += sim.dt
+        assert np.array_equal(alpha, gust_angle(sim.gust, np.array(times)))
+        assert np.count_nonzero(alpha) > 500
+        assert sim.t == t
