@@ -9,7 +9,7 @@ Three routes to split a pseudo-control demand over the servos:
 * the same QP posed in virtual-shape coordinates, which shrinks the
   decision space to q < m and keeps the spanwise profile smooth.
 
-The QP is compiled once; a primal active-set method, warm started
+The QP is compiled once; a dual active-set method, warm started
 between steps, runs only when its unconstrained optimum is infeasible.
 """
 
@@ -22,8 +22,9 @@ from .errors import DimensionMismatch
 from .numerics import pseudo_inverse
 from .shapes import ShapeBasis
 
-_FEAS_TOL = 1e-9
 _ITER_CAP = 50
+# a violation, pivot or multiplier rate below this share of its scale is rounding
+_TIGHT = 1e-12
 
 
 @dataclass
@@ -74,81 +75,73 @@ def allocate_pseudo_inverse(B_eff, target):
 
 
 class ActiveSetQP:
-    """Primal active-set solver for min 0.5 x'Hx + g'x s.t. A x <= b.
+    """Dual active-set solver (Goldfarb & Idnani, Math. Prog. 27, 1983) for
+    min 0.5 x'Hx + g'x s.t. A x <= b, on R = H^-1 A' and P = A R.
 
-    One constraint is added or dropped per iteration; each equality
-    subproblem is solved through the KKT system.  The start point is
-    x = 0, which the constraint compiler guarantees feasible.  The
-    working set from the previous solve can seed the next one.
-
-    Precondition: H is positive definite.  Both allocators pass
-    H = B'B + sigma I with sigma in (0, 1), which is.
+    x = x0 - R_W lam, P_WW lam = A_W x0 - b_W (x0 = -H^-1 g), is the minimizer
+    with the working rows W tight, and the QP's optimum if lam >= 0 and no
+    other row is violated.  Each step adds the most violated row (ties to the
+    lowest index); a working row whose multiplier reaches zero leaves by a
+    partial step.  A warm working set is taken if its multipliers are all
+    >= 0 (Haerkegaard, CDC 2002).  iterations counts x0, the warm start and
+    each step.  A capped iterate, still infeasible, is pulled back to the
+    longest feasible step from x = 0.
     """
 
-    def __init__(self, tol=_FEAS_TOL, max_iter=_ITER_CAP):
-        self.tol = tol
+    def __init__(self, max_iter=_ITER_CAP):
         self.max_iter = max_iter
 
-    def solve(self, H, g, A, b, warm_start=()):
-        x = np.zeros(g.size)
-        # keep only warm-start rows active at x = 0; drop the rest
-        working = [i for i in warm_start if b[i] <= self.tol]
-        # guard against a degenerate (rank-deficient) warm working set
-        while working and np.linalg.matrix_rank(A[working], tol=1e-10) < len(working):
-            working.pop()
-
-        for iterations in range(1, self.max_iter + 1):
-            x_eq, lam = self._kkt_solve(H, g, A, b, working)
-            step = x_eq - x
-            # relative to |x_eq|: a rounding-sized step is no move, or a
-            # dependent row joins, leaves and the solver cycles
-            if np.max(np.abs(step)) <= 1e-11 * max(1.0, np.max(np.abs(x_eq))):
-                # at the working-set minimizer: optimal unless a
-                # negative multiplier says a constraint should leave
-                if len(working) == 0 or np.min(lam) >= -self.tol:
-                    return x, iterations, tuple(sorted(working)), "Optimal"
-                worst = np.min(lam)
-                candidates = [working[j] for j in range(len(working)) if lam[j] <= worst + 1e-14]
-                drop_row = min(candidates)
-                working.remove(drop_row)
-                continue
-            # longest feasible step toward x_eq: the smallest ratio below
-            # one blocks, and argmin sends exact ties to the lowest row
-            Astep = A @ step
-            approaching = Astep > 1e-14
-            approaching[working] = False
-            ratio = np.full(Astep.shape, np.inf)
-            np.divide(b - A @ x, Astep, out=ratio, where=approaching)
-            block = int(np.argmin(ratio))
-            alpha = ratio[block]
-            if alpha < 1.0 - 1e-12:
-                x = x + max(alpha, 0.0) * step
-                working.append(block)
+    def solve(self, A, b, R, P, x0, v, warm_start=()):
+        """(x, iterations, active set, status) from x0 and its violations v = A x0 - b."""
+        W, x, lam, iterations, p = list(warm_start), x0, np.empty(0), 1, None
+        if W:
+            Pinv = np.linalg.inv(P[W][:, W])
+            lam = Pinv @ v[W]
+            if lam.min() >= 0.0:
+                x, iterations = x0 - R[:, W] @ lam, 2
             else:
-                x = x + step
-        return x, self.max_iter, tuple(sorted(working)), "IterationCap"
-
-    @staticmethod
-    def _kkt_solve(H, g, A, b, working):
-        """Minimize over the affine set where the working rows are tight.
-
-        Solves [H A_w'; A_w 0][x; lam] = [-g; b_w] for the full working
-        set; the current iterate already satisfies A_w x = b_w.
-        """
-        if not working:
-            return np.linalg.solve(H, -g), np.empty(0)
-        Aw = A[working]
-        k = len(working)
-        KKT = np.block([[H, Aw.T], [Aw, np.zeros((k, k))]])
-        rhs = np.concatenate([-g, b[working]])
-        try:
-            sol = np.linalg.solve(KKT, rhs)
-        except np.linalg.LinAlgError:
-            # dependent working rows (possible after projection into
-            # virtual space): the primal part is still unique because H
-            # is positive definite; take the minimum-norm multipliers
-            sol, *_ = np.linalg.lstsq(KKT, rhs, rcond=None)
-        return sol[: H.shape[0]], sol[H.shape[0]:]
+                W, lam = [], np.empty(0)
+        while True:
+            if W:   # one refinement puts the working rows back on their limits
+                c = Pinv @ (A[W] @ x - b[W])
+                x, lam = x - R[:, W] @ c, lam + c
+            if p is None:
+                s = A @ x - b
+                s[W] = -np.inf
+                p = int(np.argmax(s))
+                # a violation within rounding of its scale (a working row's twin) holds
+                if s[p] <= _TIGHT * (np.abs(A[p]) @ np.abs(x) + abs(b[p])):
+                    return x, iterations, tuple(sorted(W)), "Optimal"
+                lam_p = 0.0
+            if iterations >= self.max_iter:
+                break
+            iterations += 1
+            # raising p's multiplier by t moves x by -t z and keeps the W rows
+            # tight; steps[0] makes row p tight, steps[1 + i] zeroes lam[i]
+            r = Pinv @ P[W, p] if W else np.empty(0)
+            z = R[:, p] - R[:, W] @ r
+            d = A[p] @ z
+            steps = np.full(len(W) + 1, np.inf)
+            if d > _TIGHT * P[p, p]:
+                steps[0] = (A[p] @ x - b[p]) / d
+            np.divide(lam, r, out=steps[1:], where=r > _TIGHT)
+            j = int(np.argmin(steps))
+            t = steps[j]
+            if t == np.inf:   # nothing satisfies row p: end as at the cap
+                break
+            x, lam, lam_p = x - t * z, lam - t * r, lam_p + t
+            if j:   # partial step: W[j - 1] leaves
+                del W[j - 1]
+                lam = np.delete(lam, j - 1)
+            else:
+                W.append(p)
+                lam, p = np.append(lam, lam_p), None
+            if W:
+                Pinv = np.linalg.inv(P[W][:, W])
+        Ax = A @ x
+        over = Ax > b
+        alpha = np.clip(np.min(b[over] / Ax[over], initial=1.0), 0.0, 1.0)
+        return alpha * x, iterations, tuple(sorted(W)), "IterationCap"
 
 
 class CompiledQP:
@@ -159,7 +152,9 @@ class CompiledQP:
     + sigma W2, g = G target - S pull.  S maps the pull u_star - u0 through Phi
     by least squares (Phi has full column rank); W2 is the identity unless it
     is square in x.  H is positive definite, so x0 = M target + N pull, the
-    unconstrained minimizer, is optimal if feasible.
+    unconstrained minimizer, is optimal if feasible.  The dual solver runs on
+    R = H^-1 (A Phi)' and P = A Phi R; the rate box takes their last 2m columns
+    and A Phi's and P's last 2m rows.
     """
 
     def __init__(self, B_eff, W1, W2, sigma, A, Phi=None):
@@ -172,15 +167,18 @@ class CompiledQP:
         self.G, self.S = -B.T @ W1, sigma * W2 @ proj
         self.M, self.N = np.linalg.solve(self.H, -self.G), np.linalg.solve(self.H, self.S)
         self.A = A if Phi is None else A @ Phi
+        self.R = np.linalg.solve(self.H, self.A.T)
+        self.P = self.A @ self.R
 
     def solve(self, problem, solver, warm_start):
         """One tick's (x, iterations, active set, status); warm_start seeds the solver."""
-        t, pull, b = problem.target, problem.u_star - problem.u0, problem.ineq.b
-        x0 = self.M @ t + self.N @ pull
-        A = self.A[-b.size:]   # all rows, or the rate box: the last 2m
-        if np.all(A @ x0 <= b):
+        b = problem.ineq.b
+        n = b.size   # all rows, or the rate box: the last 2m
+        A, x0 = self.A[-n:], self.M @ problem.target + self.N @ (problem.u_star - problem.u0)
+        Ax0 = A @ x0
+        if np.all(Ax0 <= b):   # exact: no tolerance accepts a violation
             return x0, 1, (), "Optimal"
-        return solver.solve(self.H, self.G @ t - self.S @ pull, A, b, warm_start=warm_start)
+        return solver.solve(A, b, self.R[:, -n:], self.P[-n:, -n:], x0, Ax0 - b, warm_start)
 
 
 def allocate_qp(problem, solver=None, warm_start=(), compiled=None):

@@ -184,9 +184,10 @@ class ActuatorBank:
         r = self.servo.tick(n, held=True) @ xu
         xu[:-1], v = r[:ns], r[ns:]
         if self.backlash_on:
-            for row in v:
-                self.tau = row[:] = backlash_step(self.tau, row, self.k1, self.k2,
-                                                  self.u_f_plus, self.u_f_minus)
+            # backlash_step row by row, its engagement lines taken for the whole block
+            hi, lo = self.k2 * (v - self.u_f_plus), self.k1 * (v - self.u_f_minus)
+            for row, up, down in zip(v, hi, lo):
+                self.tau = np.minimum(np.maximum(self.tau, up, out=row), down, out=row)
         return self.scales * v
 
 

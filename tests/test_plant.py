@@ -295,6 +295,21 @@ class TestBlockSteps:
         assert np.abs(sim.x - x).max() <= 1e-9 * np.abs(x).max()
         assert sim.t == pytest.approx(0.397, abs=1e-12)
 
+    def test_backlash_block_is_backlash_step_row_by_row(self):
+        # the block's engagement lines are taken at once, then the row loop;
+        # bit for bit backlash_step on each servo output row in turn
+        rng = np.random.default_rng(4)
+        lash = ActuatorBank(12, backlash_on=True, k1=1.2, k2=0.9)
+        free = ActuatorBank(12)
+        tau = np.zeros(12)
+        for u, n in zip(8.0 * rng.standard_normal((60, 12)), [15] * 59 + [7]):
+            want = []
+            for v in free.advance(u, n):
+                tau = backlash_step(tau, v, 1.2, 0.9, lash.u_f_plus, lash.u_f_minus)
+                want.append(tau)
+            assert np.array_equal(lash.advance(u, n), np.array(want))
+        assert np.array_equal(lash.tau, tau)
+
     def test_step_is_a_one_row_block(self):
         a, b = chain(noise=True, backlash=True), chain(noise=True, backlash=True)
         for u in 5.0 * np.random.default_rng(2).standard_normal((40, 12)):
