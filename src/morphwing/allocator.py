@@ -27,7 +27,7 @@ _ITER_CAP = 50
 _TIGHT = 1e-12
 
 
-@dataclass
+@dataclass(slots=True)
 class AllocationProblem:
     """One time-step's allocation data.
 
@@ -59,7 +59,7 @@ class AllocationProblem:
             raise DimensionMismatch(f"sigma must be in (0, 1), got {self.sigma}")
 
 
-@dataclass
+@dataclass(slots=True)
 class AllocationResult:
     delta_u: np.ndarray
     eps_ca: np.ndarray
@@ -144,6 +144,9 @@ class ActiveSetQP:
         return alpha * x, iterations, tuple(sorted(W)), "IterationCap"
 
 
+_SOLVER = ActiveSetQP()   # the default; it keeps no state between solves
+
+
 class CompiledQP:
     """The run-constant parts of the allocation QP, built once per controller.
 
@@ -174,9 +177,11 @@ class CompiledQP:
         """One tick's (x, iterations, active set, status); warm_start seeds the solver."""
         b = problem.ineq.b
         n = b.size   # all rows, or the rate box: the last 2m
-        A, x0 = self.A[-n:], self.M @ problem.target + self.N @ (problem.u_star - problem.u0)
+        A, x0 = self.A[-n:], self.M @ problem.target
+        if problem.u_star is not problem.u0:   # no pull without a preferred command of its own
+            x0 = x0 + self.N @ (problem.u_star - problem.u0)
         Ax0 = A @ x0
-        if np.all(Ax0 <= b):   # exact: no tolerance accepts a violation
+        if (Ax0 <= b).all():   # exact: no tolerance accepts a violation
             return x0, 1, (), "Optimal"
         return solver.solve(A, b, self.R[:, -n:], self.P[-n:, -n:], x0, Ax0 - b, warm_start)
 
@@ -206,7 +211,7 @@ def allocate_qp_virtual(problem, basis, solver=None, warm_start=(), compiled=Non
 def _allocate(problem, Phi, solver, warm_start, compiled):
     compiled = compiled or CompiledQP(problem.B_eff, problem.W1, problem.W2, problem.sigma,
                                       problem.ineq.A, Phi)
-    x, iterations, active, status = compiled.solve(problem, solver or ActiveSetQP(), warm_start)
+    x, iterations, active, status = compiled.solve(problem, solver or _SOLVER, warm_start)
     delta_u = x if Phi is None else Phi @ x
     return AllocationResult(
         delta_u=delta_u, eps_ca=problem.B_eff @ delta_u - problem.target, iterations=iterations,

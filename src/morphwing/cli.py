@@ -39,7 +39,7 @@ def _guard(fn):
     except ConfigError as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(1)
-    except (NonFiniteState, NoStabilizingSolution) as exc:
+    except (NonFiniteState, NoStabilizingSolution, np.linalg.LinAlgError) as exc:
         click.echo(f"runtime divergence: {exc}", err=True)
         sys.exit(2)
     except MorphwingError as exc:

@@ -66,7 +66,7 @@ class InputLimits:
         return self.u_min.size
 
 
-@dataclass
+@dataclass(slots=True)
 class LinearInequality:
     """A du <= b with r = 4m + 2(m-1) rows in the canonical order."""
 
@@ -96,7 +96,7 @@ def assemble(limits, u0):
     every call.  E holds only +/-1 and zeros, so b equals the row-by-row
     u_max - u0, u0 - u_min, u_adj -/+ C u0 bit for bit.
     """
-    u0 = np.clip(np.asarray(u0, dtype=float), limits.u_min, limits.u_max)
+    u0 = np.minimum(np.maximum(u0, limits.u_min), limits.u_max)
     b = limits.b0 + limits.E @ u0
     m = limits.m
     if b[2 * m:4 * m - 2].min() < -POSITION_SLACK:

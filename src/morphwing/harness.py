@@ -52,6 +52,14 @@ def _scalar(key, ftype, value):
     raise ConfigError(f"{key} must be {_KINDS[ftype]}, got {value!r}")
 
 
+def _numbers(name, value, size, low=-math.inf):
+    """A list field as size floats in (low, inf); numeric strings become floats."""
+    out = [_scalar(name, float, v) for v in value] if isinstance(value, (list, tuple)) else []
+    if len(out) != size or not all(low < v < math.inf for v in out):
+        raise ConfigError(f"{name} must be a list of {size} numbers in ({low}, inf), got {value!r}")
+    return out
+
+
 def _from_dict(cls, data, prefix=""):
     """Build a config dataclass from a mapping, rejecting unknown keys and
     scalar values of the wrong type."""
@@ -195,6 +203,8 @@ class ScenarioConfig:
         positive = {"duration": self.duration, "dt_plant": self.dt_plant,
                     "dt_ctrl": self.dt_ctrl, "gust.f_g": self.gust.f_g, "gust.v": self.gust.v,
                     "actuators.zeta": self.actuators.zeta, "indi.k_gain": self.indi.k_gain,
+                    "plant.dc_split": self.plant.dc_split, "plant.mode_damp": self.plant.mode_damp,
+                    "plant.half_span": self.plant.half_span, "plant.n_modes": self.plant.n_modes,
                     **{f"limits.{k}": v for k, v in asdict(self.limits).items()}}
         if self.noise.enabled:
             positive["noise.zeta"] = self.noise.zeta
@@ -207,6 +217,31 @@ class ScenarioConfig:
         if self.plant.m != DEFAULT_LOCATIONS.size:
             raise ConfigError(
                 f"plant.m must be {DEFAULT_LOCATIONS.size}, the fixed servo count, got {self.plant.m}")
+        for section, values in asdict(self).items():
+            for key, value in values.items() if isinstance(values, dict) else ():
+                if type(value) is float and not math.isfinite(value):
+                    raise ConfigError(f"{section}.{key} must be finite, got {value!r}")
+        plant = self.plant
+        plant.gust_dc = _numbers("plant.gust_dc", plant.gust_dc, 2)
+        plant.mode_freqs = _numbers("plant.mode_freqs", plant.mode_freqs, plant.n_modes, low=0.0)
+        # RK4 must not grow a mode: |R(h lambda)| <= 1, and R's stable set lies in |z| < 2.96
+        hl = self.dt_plant * np.concatenate([np.roots([1.0, 2.0 * plant.mode_damp * w, w * w])
+                                             for w in 2.0 * np.pi * np.array(plant.mode_freqs)])
+        hl = np.where(np.abs(hl) < 3.0, hl, 3.0)
+        if np.abs(1.0 + hl * (1.0 + hl / 2.0 * (1.0 + hl / 3.0 * (1.0 + hl / 4.0)))).max() > 1.0:
+            raise ConfigError(f"plant modes are too fast for the RK4 step dt_plant {self.dt_plant}")
+        self.lqg.n_k = _numbers("lqg.n_k", self.lqg.n_k, 2)
+        if self.noise.seed < 0 or self.lqg.perturb_seed < 0:
+            raise ConfigError(f"seeds must be non-negative, got noise.seed {self.noise.seed}, "
+                              f"lqg.perturb_seed {self.lqg.perturb_seed}")
+        if not all(isinstance(v, (list, tuple)) for v in (self.fault.failed, self.fault.scaled)):
+            raise ConfigError("fault.failed and fault.scaled must be lists")
+        for pair in self.fault.scaled:
+            _numbers("each fault.scaled entry", pair, 2)
+        servos = list(self.fault.failed) + [pair[0] for pair in self.fault.scaled]
+        if not all(type(i) is int and 0 <= i < plant.m for i in servos):
+            raise ConfigError(f"fault servo indices must be integers in 0..{plant.m - 1}, "
+                              f"got failed {self.fault.failed!r}, scaled {self.fault.scaled!r}")
         if not 0.0 < self.indi.sigma < 1.0:
             raise ConfigError(f"indi.sigma must be in (0, 1), got {self.indi.sigma!r}")
         # indi-qp-v's B_eff Phi keeps both load rows; lqg's q shape inputs drive two integral states
@@ -255,7 +290,7 @@ class ScenarioConfig:
         try:
             data = yaml.safe_load(text)
         except yaml.YAMLError as exc:
-            raise ConfigError(f"config is not valid YAML: {exc}") from exc
+            raise ConfigError(f"config is not valid YAML: {' '.join(str(exc).split())}") from exc
         if data is None:
             data = {}
         return cls.from_dict(data)
@@ -360,7 +395,7 @@ def build_controller(cfg, model, basis, limits):
         mode = {"indi-pi": "pi", "indi-qp": "qp", "indi-qp-v": "qp-v"}[name]
         a = cfg.actuators
         lag = default_lag_model(cfg.dt_ctrl, a.zeta, a.omega, round(a.delay / cfg.dt_ctrl),
-                                channels=2, with_measurement_filter=cfg.noise.enabled)
+                                with_measurement_filter=cfg.noise.enabled)
         K = np.diag([cfg.indi.k_gain, cfg.indi.k_gain])
         return IndiController(model.B_static, K, limits, cfg.dt_ctrl, mode=mode,
                               basis=basis, sigma=cfg.indi.sigma, lag_model=lag)

@@ -13,7 +13,8 @@ commanded-load signal so the controller can subtract the response it
 has already commanded but not yet seen; without this correction the
 pure incremental loop at 66.7 Hz is unstable against the combined lag.
 The increment itself is still taken from the last issued command, so
-the compiled position/rate/relative constraints remain exact.
+the compiled position/rate/relative constraints remain exact.  Up to
+the allocation a tick is one product with a map built once.
 """
 
 from dataclasses import dataclass, field
@@ -33,51 +34,35 @@ from .numerics import (
 from .plant import MEAS_OMEGA, MEAS_ZETA
 
 
-def pseudo_control(e, y_r_dot, K):
-    """nu_c = y_r_dot - K e."""
-    return np.asarray(y_r_dot, dtype=float) - np.asarray(K, dtype=float) @ np.asarray(e, dtype=float)
-
-
 class LagModel:
     """Discrete model of the command-to-measurement lag chain.
 
     An integer-tick transport delay followed by a cascade of
     second-order sections, run on the commanded-load vector from rest.
-    Feeding the commanded loads through this model yields the part of
-    the command history the measurement has already caught up with.
-    The delay line (a delay_ticks-state shift register) and the
-    sections' state-space blocks are joined in series once, into one
-    map T = [[A, B], [C, D]], so a step is one product with [x; v].
+    The delay line (a delay_ticks-state shift register) and the sections'
+    state-space blocks are joined in series once, into one map
+    T = [[A, B], [C, D]] from [state; input] to [state'; output], one
+    column per channel, which IndiController folds into its tick map.
     """
 
-    def __init__(self, filters, delay_ticks, channels=2):
+    def __init__(self, filters, delay_ticks):
         self.filters = list(filters)
         self.delay_ticks = delay_ticks
         A, B, C, D = delay_chain(delay_ticks, self.filters)
         self.T = np.block([[A, B], [C, D]])
-        self._xv = np.zeros((len(self.T), channels))   # [state; input], one column per channel
-        self.last_output = np.zeros(channels)
-
-    def step(self, v):
-        xv = self._xv
-        xv[-1] = v
-        r = self.T @ xv
-        xv[:-1] = r[:-1]
-        self.last_output = r[-1]
-        return self.last_output
 
 
-def default_lag_model(dt, zeta, omega, delay_ticks, channels=2, with_measurement_filter=True):
+def default_lag_model(dt, zeta, omega, delay_ticks, with_measurement_filter=True):
     """Lag model of the command-to-measurement chain.
 
     Servo section (zeta, omega), delay_ticks controller ticks of
     transport delay, and the plant's measurement low pass when it is in
     the loop.
     """
-    filters = [SecondOrderFilter(zeta, omega, dt, channels=channels)]
+    filters = [SecondOrderFilter(zeta, omega, dt)]
     if with_measurement_filter:
-        filters.append(SecondOrderFilter(MEAS_ZETA, MEAS_OMEGA, dt, channels=channels))
-    return LagModel(filters, delay_ticks=delay_ticks, channels=channels)
+        filters.append(SecondOrderFilter(MEAS_ZETA, MEAS_OMEGA, dt))
+    return LagModel(filters, delay_ticks=delay_ticks)
 
 
 class IndiController:
@@ -86,9 +71,10 @@ class IndiController:
     mode selects the allocation route: "pi" (pseudo-inverse, no
     constraints), "qp" (servo-space QP), "qp-v" (QP over virtual shape
     coefficients; requires basis).  lag_model is a LagModel, or None for
-    no hedge.  The pseudo-inverse ("pi"), the row-rank check of B_eff Phi
-    ("qp-v") and the allocation QP's constant parts are built once here
-    rather than on every tick.
+    no hedge.  Built once here: the row-rank check of B_eff Phi ("qp-v"),
+    the allocation QP's constant parts, and a map from [e; lag state; u_prev;
+    y_meas; y_ref] to [e'; lag state'; nu_c; hedge; target] (and the unclipped
+    command for "pi").  The lag steps on the last command at a tick's start.
     """
 
     def __init__(self, B_eff, K, limits, dt, mode="qp-v", basis=None, sigma=1e-3, *,
@@ -106,17 +92,27 @@ class IndiController:
             raise ValueError("virtual-shape mode needs a basis")
         if mode == "qp-v" and np.linalg.matrix_rank(self.B_eff @ basis.Phi, tol=1e-10) < p:
             raise RankDeficient("effectiveness composed with the shape basis lost row rank")
-        self._B_pinv = pseudo_inverse(self.B_eff) if mode == "pi" else None
         self.sigma = sigma
         self._W1 = np.eye(p)
         self._W2 = np.eye(basis.q if mode == "qp-v" else m)
         self._qp = None if mode == "pi" else CompiledQP(
             self.B_eff, self._W1, self._W2, sigma, limits.A, basis.Phi if mode == "qp-v" else None)
         self.lag = lag_model
+        # without a lag model, T = [[1]] passes the commanded loads through: zero hedge
+        T = np.ones((1, 1)) if lag_model is None else lag_model.T
+        n, I = p * len(T), np.eye(p)    # n: e and the lag state
+        e, s, u, y, r = np.split(np.eye(n + m + 2 * p), np.cumsum([p, n - p, m, p]))
+        e1 = e + dt * (y - r)
+        v = self.B_eff @ u               # the commanded loads
+        hedge = v - np.kron(T[-1:, :-1], I) @ s - T[-1, -1] * v
+        nu_c = r - self.K @ e1
+        target = nu_c - y - hedge
+        rows = [e1, np.kron(T[:-1, :-1], I) @ s + np.kron(T[:-1, -1:], I) @ v, nu_c, hedge, target]
+        if mode == "pi":
+            rows.append(u + pseudo_inverse(self.B_eff) @ target)
+        self._T = np.vstack(rows)
+        self._state = np.zeros(n)   # e, then the lag state: one column per load, row by row
         self.u_prev = np.zeros(m)
-        # B_eff u_prev: the commanded loads, which the lag model also runs on
-        self._v_cmd = self.B_eff @ self.u_prev
-        self.e = np.zeros(p)
         self._warm = ()
         self.last = {}
 
@@ -127,22 +123,14 @@ class IndiController:
         references (which are also the derivative of the integrated-load
         reference, so they enter the pseudo-control directly).
         """
-        y_meas = np.asarray(y_meas, dtype=float)
-        y_ref = np.asarray(y_ref, dtype=float)
-        self.e = self.e + self.dt * (y_meas - y_ref)
-        nu_c = pseudo_control(self.e, y_ref, self.K)
-
-        if self.lag is not None:
-            hedge = self._v_cmd - self.lag.last_output
-        else:
-            hedge = np.zeros_like(self._v_cmd)
-        # estimated current loads = measurement + commanded-but-unseen part
-        target = nu_c - y_meas - hedge
+        n, p = self._state.size, self.K.shape[0]
+        r = self._T @ np.concatenate((self._state, self.u_prev, y_meas, y_ref))
+        self._state = r[:n]
+        nu_c, hedge, target = r[n:n + 3 * p].reshape(3, p)
 
         delta_u_virtual = None
         if self.mode == "pi":
-            delta_u = self._B_pinv @ target
-            u = np.clip(self.u_prev + delta_u, self.limits.u_min, self.limits.u_max)
+            u = np.minimum(np.maximum(r[n + 3 * p:], self.limits.u_min), self.limits.u_max)
             eps_ca = self.B_eff @ (u - self.u_prev) - target
             iterations, active, status = 0, (), "Optimal"
         else:
@@ -154,8 +142,8 @@ class IndiController:
             except InfeasibleCurrentState:
                 ineq, box = rate_box(self.limits), True
             warm = () if box else self._warm
-            problem = AllocationProblem(
-                B_eff=self.B_eff, target=target, W1=self._W1, W2=self._W2,
+            problem = AllocationProblem(   # target copied: a view would keep all of r alive
+                B_eff=self.B_eff, target=target.copy(), W1=self._W1, W2=self._W2,
                 sigma=self.sigma, u0=self.u_prev, u_star=self.u_prev, ineq=ineq,
             )
             if self.mode == "qp-v":
@@ -169,13 +157,10 @@ class IndiController:
             delta_u_virtual = res.delta_u_virtual
 
         self.u_prev = u
-        if self.lag is not None:
-            self._v_cmd = self.B_eff @ u
-            self.lag.step(self._v_cmd)
         self.last = {
             "nu_c": nu_c, "target": target, "hedge": hedge, "eps_ca": eps_ca,
             "iterations": iterations, "active_set": active, "status": status,
-            "e": self.e.copy(), "delta_u_virtual": delta_u_virtual,
+            "e": r[:p], "delta_u_virtual": delta_u_virtual,
         }
         return u
 

@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 
 from morphwing import harness, indi
-from morphwing.constraints import InputLimits
+from morphwing.allocator import AllocationProblem, allocate_qp, allocate_qp_virtual
+from morphwing.constraints import InputLimits, assemble
 from morphwing.errors import DimensionMismatch, GainNotContractive, NotHurwitz, RankDeficient
 from morphwing.indi import (
     IndiController,
     LagModel,
     certify_bounds,
     default_lag_model,
-    pseudo_control,
     recursion_terms,
 )
 from morphwing.numerics import SecondOrderFilter
@@ -36,32 +36,56 @@ def make_b_eff(m=12, fy=2.8):
     return np.vstack([row, row * locs]), locs
 
 
+def first_nu_c(K, y_meas, y_ref, dt=0.015):
+    """nu_c = y_ref - K e of a fresh controller's first tick, where e = dt (y_meas - y_ref)."""
+    K = np.atleast_2d(K)
+    B, _ = make_b_eff()
+    ctrl = IndiController(B[:len(K)], K, make_limits(dt=dt), dt, mode="pi", lag_model=None)
+    ctrl.step(np.asarray(y_meas, dtype=float), np.asarray(y_ref, dtype=float))
+    return ctrl.last["nu_c"]
+
+
 class TestPseudoControl:
     def test_zero_error_passes_reference_rate(self):
+        # dyadic gain and period: the folded map's rounding cannot hide behind them
         y_r_dot = np.array([3.0, -1.0])
-        out = pseudo_control(np.zeros(2), y_r_dot, np.diag([0.1, 0.1]))
+        out = first_nu_c(np.diag([0.125, 0.125]), y_r_dot, y_r_dot, dt=2.0 ** -6)
         assert np.array_equal(out, y_r_dot)
 
     def test_default_gain_example(self):
-        out = pseudo_control([10.0, -20.0], np.zeros(2), np.diag([0.1, 0.1]))
+        out = first_nu_c(np.diag([0.1, 0.1]), np.array([10.0, -20.0]) / 0.015, np.zeros(2))
         assert np.allclose(out, [-1.0, 2.0])
 
     def test_positive_error_drives_negative_command(self):
         # constant reference: nu_c must push the output back down
-        out = pseudo_control([5.0], [0.0], np.array([[0.2]]))
+        out = first_nu_c(np.array([[0.2]]), [5.0 / 0.015], [0.0])
         assert out[0] < 0.0
+
+
+class StepT:
+    """lag.T stepped on [state; input], one column per channel, from rest."""
+
+    def __init__(self, lag, channels):
+        self.T, self.xv = lag.T, np.zeros((len(lag.T), channels))
+        self.last_output = np.zeros(channels)
+
+    def step(self, v):
+        self.xv[-1] = v
+        r = self.T @ self.xv
+        self.xv[:-1] = r[:-1]
+        self.last_output = r[-1]
+        return self.last_output
 
 
 class TestLagModel:
     def test_delay_shifts_by_exact_ticks(self):
-        lag = LagModel([], delay_ticks=3, channels=1)
+        lag = StepT(LagModel([], delay_ticks=3), channels=1)
         outs = [lag.step(np.array([float(k == 0)]))[0] for k in range(6)]
         assert outs == [0.0, 0.0, 0.0, 1.0, 0.0, 0.0]
 
     def test_filters_applied_in_cascade(self):
         f = SecondOrderFilter(0.71, 16.52, 0.015)
-        lag = LagModel([SecondOrderFilter(0.71, 16.52, 0.015, channels=2)],
-                       delay_ticks=0, channels=2)
+        lag = StepT(LagModel([SecondOrderFilter(0.71, 16.52, 0.015)], delay_ticks=0), channels=2)
         x = np.array([1.0, 1.0])
         for _ in range(10):
             expected = f.step(1.0)
@@ -69,8 +93,8 @@ class TestLagModel:
         assert np.allclose(got, expected)
 
     def test_default_model_dc_gain_is_unity(self):
-        lag = default_lag_model(0.015, SERVO_ZETA, SERVO_OMEGA, 1, channels=2,
-                                with_measurement_filter=True)
+        lag = StepT(default_lag_model(0.015, SERVO_ZETA, SERVO_OMEGA, 1,
+                                      with_measurement_filter=True), channels=2)
         v = np.array([2.0, -3.0])
         out = v
         for _ in range(3000):
@@ -87,7 +111,7 @@ class TestLagModel:
 class CascadeLag:
     """The lag chain stepped section by section: a deque delay, then SecondOrderFilter.step.
 
-    Duck-types the compiled LagModel (.step, .last_output) as its oracle.
+    The oracle of the compiled LagModel's map T (stepped by StepT).
     Channels that are one wide run on scalars, as SecondOrderFilter does.
     """
 
@@ -113,11 +137,11 @@ class CascadeLag:
 @pytest.mark.parametrize("with_meas", [True, False])
 @pytest.mark.parametrize("delay_ticks", [0, 1, 2, 3])
 def test_compiled_lag_matches_section_cascade(delay_ticks, with_meas, channels):
-    lag = default_lag_model(0.015, SERVO_ZETA, SERVO_OMEGA, delay_ticks, channels=channels,
-                            with_measurement_filter=with_meas)
-    oracle = CascadeLag(lag.filters, delay_ticks, channels)
-    assert lag.delay_ticks == delay_ticks
-    assert lag.T.shape == (delay_ticks + 2 * len(lag.filters) + 1,) * 2
+    model = default_lag_model(0.015, SERVO_ZETA, SERVO_OMEGA, delay_ticks,
+                              with_measurement_filter=with_meas)
+    lag, oracle = StepT(model, channels), CascadeLag(model.filters, delay_ticks, channels)
+    assert model.delay_ticks == delay_ticks
+    assert model.T.shape == (delay_ticks + 2 * len(model.filters) + 1,) * 2
     rng = np.random.default_rng(100 * delay_ticks + 10 * with_meas + channels)
     shape = (channels,) if channels > 1 else ()
     for k in range(300):
@@ -128,12 +152,41 @@ def test_compiled_lag_matches_section_cascade(delay_ticks, with_meas, channels):
         assert np.array_equal(lag.last_output, got)
 
 
+class ReferenceTick:
+    """The INDI tick formula by formula, hedging with CascadeLag: the tick map's oracle.
+
+    It reads only the controller's constants.  The lag steps on each command
+    at the end of its tick, and the QP is compiled afresh from each problem.
+    """
+
+    def __init__(self, ctrl):
+        self.ctrl, (p, m) = ctrl, ctrl.B_eff.shape
+        self.lag = CascadeLag(ctrl.lag.filters, ctrl.lag.delay_ticks, p)
+        self.e, self.u, self.warm = np.zeros(p), np.zeros(m), ()
+
+    def step(self, y_meas, y_ref):
+        c = self.ctrl
+        self.e = self.e + c.dt * (y_meas - y_ref)
+        nu_c = y_ref - c.K @ self.e
+        hedge = c.B_eff @ self.u - self.lag.last_output
+        problem = AllocationProblem(
+            B_eff=c.B_eff, target=nu_c - y_meas - hedge, W1=np.eye(len(nu_c)),
+            W2=np.eye(self.u.size), sigma=c.sigma, u0=self.u, u_star=self.u,
+            ineq=assemble(c.limits, self.u))
+        res = (allocate_qp_virtual(problem, c.basis, warm_start=self.warm) if c.mode == "qp-v"
+               else allocate_qp(problem, warm_start=self.warm))
+        self.warm, self.u = res.active_set, self.u + res.delta_u
+        self.lag.step(c.B_eff @ self.u)
+        return self.u, bool(res.active_set)
+
+
 @pytest.mark.parametrize("controller, binding_ticks", [("indi-qp-v", 108), ("indi-qp", 116)])
 def test_controller_with_compiled_lag_matches_cascade_lag(monkeypatch, controller,
                                                           binding_ticks):
     # the fy+35% harsh run (noise, fault, backlash): its tick inputs replayed
-    # through two fresh controllers, one hedging with the compiled lag model
-    # and one with the section-by-section cascade, give the same commands
+    # through a fresh controller, whose tick map holds the compiled lag model,
+    # and through the tick formula by formula hedging with the section-by-section
+    # cascade, give the same commands
     cfg = harness.mla_config("fy+35%")
     cfg.controller = controller
     cfg.noise.enabled = cfg.fault.enabled = cfg.actuators.backlash = True
@@ -150,22 +203,18 @@ def test_controller_with_compiled_lag_matches_cascade_lag(monkeypatch, controlle
     basis = harness.build_basis(model.locations, cfg.plant.half_span, cfg.q)
     limits = harness.build_limits(cfg)
     compiled = harness.build_controller(cfg, model, basis, limits)
-    cascade = harness.build_controller(cfg, model, basis, limits)
-    cascade.lag = CascadeLag(compiled.lag.filters, compiled.lag.delay_ticks, 2)
+    cascade = ReferenceTick(harness.build_controller(cfg, model, basis, limits))
     assert compiled.lag.delay_ticks == round(cfg.actuators.delay / cfg.dt_ctrl)
 
-    def replay(ctrl):
-        u, binding = [], 0
-        for y_meas, y_ref in ticks:
-            u.append(ctrl.step(y_meas, y_ref))
-            binding += bool(ctrl.last["active_set"])
-        return np.array(u), binding
-
-    (u_compiled, binding_compiled), (u_cascade, binding_cascade) = map(replay, (compiled, cascade))
+    u_compiled, binding_compiled = [], 0
+    for y_meas, y_ref in ticks:
+        u_compiled.append(compiled.step(y_meas, y_ref))
+        binding_compiled += bool(compiled.last["active_set"])
+    u_cascade, binding = zip(*(cascade.step(y_meas, y_ref) for y_meas, y_ref in ticks))
     assert np.array_equal(u_compiled, log.u)
-    worst = np.max(np.abs(u_compiled - u_cascade))
+    worst = np.max(np.abs(np.subtract(u_compiled, u_cascade)))
     assert worst <= 5e-9, worst
-    assert binding_compiled == binding_cascade == binding_ticks
+    assert binding_compiled == sum(binding) == binding_ticks
 
 
 class TestControllerStep:

@@ -262,3 +262,53 @@ class TestController:
                       x_true=np.array([5.0, 0.0, 5.0, 0.0]))
         assert ctrl.last["saturated"]
         assert np.all(np.abs(u) <= 0.01 + 1e-12)
+
+
+@pytest.mark.parametrize("kalman", [True, False])
+def test_tick_map_matches_step_by_step_formulas(kalman):
+    # the tick against the estimator's RK4 substeps (or the true state), the
+    # trapezoid integral, u_v = K_X [x; z] + K_r [0; -y_ref], u = Phi u_v, the
+    # clamp and its flag, tick by tick
+    model, basis = twin_and_basis()
+    dm = perturb_model(model, rel=0.1, seed=3)
+    lq = design_lqr(dm, basis.Phi)
+    kd = design_kalman(dm, 0.05, 0.01 * np.eye(2), np.zeros(2)) if kalman else None
+    lim = InputLimits(u_min=-5.0 * np.ones(12), u_max=5.0 * np.ones(12),
+                      rate_min=-80.0 * np.ones(12), rate_max=80.0 * np.ones(12),
+                      u_adj=55.0 * np.ones(11), dt=0.015)
+    ctrl = LqgController(lq, dm, basis.Phi, lim, 0.015, kalman=kd)
+    A, B, C, D = dm.A, dm.B, dm.C, dm.D
+    h = 0.015 / ctrl.n_sub
+    rng = np.random.default_rng(8)
+    x_hat, z, prev, u_prev = np.zeros(4), np.zeros(2), np.zeros(2), np.zeros(12)
+    got, want, flags = [], [], []
+    for k in range(60):
+        y, y_ref = 20.0 * rng.standard_normal(2), 10.0 * rng.standard_normal(2)
+        x_true = 0.1 * rng.standard_normal(4)
+        if kalman:
+            def f(xh, _):
+                return A @ xh + B @ u_prev + kd.L @ (y - C @ xh - D @ u_prev)
+
+            for _ in range(ctrl.n_sub):
+                x_hat = integrate_step(f, x_hat, None, h)
+        else:
+            x_hat = x_true
+        integrand = C @ x_hat + D @ u_prev - y_ref
+        z = z + 0.5 * 0.015 * (integrand + prev)
+        prev = integrand
+        u_v = lq.K_X @ np.concatenate([x_hat, z]) + lq.K_r @ np.concatenate([np.zeros(4), -y_ref])
+        u = basis.Phi @ u_v
+        u_prev = np.clip(u, -5.0, 5.0)
+        out = ctrl.step(y, y_ref, x_true=None if kalman else x_true)
+        got.append(np.concatenate([ctrl.x_hat, ctrl.last["u_v"], out]))
+        want.append(np.concatenate([x_hat, u_v, u_prev]))
+        flags.append((ctrl.last["saturated"], bool(np.any(u != u_prev))))
+    got, want = np.array(got), np.array(want)
+    for cols in (slice(0, 4), slice(4, 9), slice(9, 21)):
+        err = np.max(np.abs(got[:, cols] - want[:, cols]))
+        assert err <= 1e-12 * np.max(np.abs(want[:, cols])), (cols, err)
+    assert all(a == b for a, b in flags)
+    assert 0 < sum(a for a, _ in flags) < len(flags)
+    if kalman:
+        with pytest.raises(NonFiniteState):
+            ctrl.step(np.array([np.nan, 0.5]), y_ref)
