@@ -33,13 +33,19 @@ def _load_config(path, seed=None):
 
 
 def _guard(fn):
-    """Run fn, mapping failure classes to the documented exit codes."""
+    """Run fn, mapping failure classes to the documented exit codes.
+
+    A numpy overflow, invalid value or division by zero raises instead of
+    warning, so it ends the run as a divergence with one line on stderr.
+    """
     try:
-        return fn()
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            return fn()
     except ConfigError as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(1)
-    except (NonFiniteState, NoStabilizingSolution, np.linalg.LinAlgError) as exc:
+    except (NonFiniteState, NoStabilizingSolution, np.linalg.LinAlgError,
+            FloatingPointError) as exc:
         click.echo(f"runtime divergence: {exc}", err=True)
         sys.exit(2)
     except MorphwingError as exc:

@@ -456,6 +456,13 @@ def run_scenario(cfg, pair_open_loop=True):
 
 
 def _simulate(cfg):
+    """Build and run one scenario; every run's RunLog, open loop included.
+
+    A closed-loop run steps the controller and then the plant one tick at
+    a time.  An open-loop run has no controller and a zero command, so the
+    plant computes it as lifted block products (WingSimulator.coast) and
+    the log takes its rows from that.
+    """
     model = build_model(cfg)
     basis = build_basis(model.locations, cfg.plant.half_span, cfg.q)
     limits = build_limits(cfg)
@@ -470,10 +477,6 @@ def _simulate(cfg):
 
     U = np.zeros((n_ticks, m))
     UV = np.zeros((n_ticks, q))
-    Yraw = np.zeros((n_ticks, 2))
-    Yfilt = np.zeros((n_ticks, 2))
-    Ytrue = np.zeros((n_ticks, 2))
-    Alpha = np.zeros(n_ticks)
     EpsN = np.zeros(n_ticks)
     Iters = np.zeros(n_ticks, dtype=int)
     Sat = np.zeros(n_ticks, dtype=int)
@@ -481,50 +484,59 @@ def _simulate(cfg):
     Eps = np.zeros((n_ticks, 2))
     Hedge = np.zeros((n_ticks, 2))
     Elog = np.zeros((n_ticks, 2))
-    X = np.zeros((n_ticks, model.A.shape[0]))
-    Ueff = np.zeros((n_ticks, m))
-    Ytp = np.zeros((n_plant, 2))
 
     t_plant = np.arange(n_plant) * cfg.dt_plant
     Yrp = ref(t_plant)
 
-    u = np.zeros(m)
-    # the plant's outputs over the last tick, one row per plant step
-    zero = np.zeros((1, 2))
-    out = PlantOutput(y_true=zero, y_raw=zero, y_filt=zero, alpha_g=np.zeros(1),
-                      u_eff=np.zeros((1, m)))
-    is_indi = cfg.controller.startswith("indi")
-    for tick in range(n_ticks):
-        k0 = tick * stride
-        k1 = min(k0 + stride, n_plant)
-        y_ref = Yrp[k0]
-        if is_indi:
-            u = ctrl.step(out.y_filt[-1], y_ref)
-            last = ctrl.last
-            Nu[tick] = last["nu_c"]
-            Eps[tick] = last["eps_ca"]
-            Hedge[tick] = last["hedge"]
-            Elog[tick] = last["e"]
-            EpsN[tick] = np.linalg.norm(last["eps_ca"])
-            Iters[tick] = last["iterations"]
-            Sat[tick] = int(len(last["active_set"]) > 0)
-            dv = last["delta_u_virtual"]
-            if dv is not None:
-                # accumulate: the servo command is Phi times this total
-                UV[tick] = (UV[tick - 1] if tick > 0 else 0.0) + dv
-        elif ctrl is not None:
-            u = ctrl.step(out.y_raw[-1], y_ref, x_true=sim.x)
-            UV[tick] = ctrl.last["u_v"][:q]
-            Sat[tick] = int(ctrl.last["saturated"])
-        U[tick] = u
-        Yraw[tick] = out.y_raw[-1]
-        Yfilt[tick] = out.y_filt[-1]
-        Ytrue[tick] = out.y_true[-1]
-        Alpha[tick] = out.alpha_g[-1]
-        X[tick] = sim.x
-        Ueff[tick] = out.u_eff[-1]
-        out = sim.advance(u, k1 - k0)
-        Ytp[k0:k1] = out.y_true
+    if ctrl is None:
+        # zero command throughout: lifted block products, one block per tick
+        X, Ytp, held = sim.coast(n_plant, stride)
+        Yraw, Yfilt, Ytrue, Alpha, Ueff = (held.y_raw, held.y_filt, held.y_true, held.alpha_g,
+                                           held.u_eff)
+    else:
+        Yraw = np.zeros((n_ticks, 2))
+        Yfilt = np.zeros((n_ticks, 2))
+        Ytrue = np.zeros((n_ticks, 2))
+        Alpha = np.zeros(n_ticks)
+        X = np.zeros((n_ticks, model.A.shape[0]))
+        Ueff = np.zeros((n_ticks, m))
+        Ytp = np.zeros((n_plant, 2))
+        # the plant's outputs over the last tick, one row per plant step
+        zero = np.zeros((1, 2))
+        out = PlantOutput(y_true=zero, y_raw=zero, y_filt=zero, alpha_g=np.zeros(1),
+                          u_eff=np.zeros((1, m)))
+        is_indi = cfg.controller.startswith("indi")
+        for tick in range(n_ticks):
+            k0 = tick * stride
+            k1 = min(k0 + stride, n_plant)
+            y_ref = Yrp[k0]
+            if is_indi:
+                u = ctrl.step(out.y_filt[-1], y_ref)
+                last = ctrl.last
+                Nu[tick] = last["nu_c"]
+                Eps[tick] = last["eps_ca"]
+                Hedge[tick] = last["hedge"]
+                Elog[tick] = last["e"]
+                EpsN[tick] = np.linalg.norm(last["eps_ca"])
+                Iters[tick] = last["iterations"]
+                Sat[tick] = int(len(last["active_set"]) > 0)
+                dv = last["delta_u_virtual"]
+                if dv is not None:
+                    # accumulate: the servo command is Phi times this total
+                    UV[tick] = (UV[tick - 1] if tick > 0 else 0.0) + dv
+            else:
+                u = ctrl.step(out.y_raw[-1], y_ref, x_true=sim.x)
+                UV[tick] = ctrl.last["u_v"][:q]
+                Sat[tick] = int(ctrl.last["saturated"])
+            U[tick] = u
+            Yraw[tick] = out.y_raw[-1]
+            Yfilt[tick] = out.y_filt[-1]
+            Ytrue[tick] = out.y_true[-1]
+            Alpha[tick] = out.alpha_g[-1]
+            X[tick] = sim.x
+            Ueff[tick] = out.u_eff[-1]
+            out = sim.advance(u, k1 - k0)
+            Ytp[k0:k1] = out.y_true
     return RunLog(
         controller=cfg.controller, q=q, t=t_plant[::stride].copy(), u=U, u_v=UV, y_raw=Yraw,
         y_filt=Yfilt, y_true=Ytrue, y_ref=Yrp[::stride].copy(), alpha_g=Alpha, eps_ca_norm=EpsN,

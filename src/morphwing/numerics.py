@@ -117,7 +117,8 @@ class BlockMap:
     [x0; u_0; ...; u_{k-1}] to the state x_k and the outputs
     y_0..y_{k-1}, built once per block length.  Input rows are the
     steps; any trailing columns of x and u are independent channels
-    sharing the system.
+    sharing the system.  lifted() runs a long input sequence through
+    tick(k) a whole block at a time, with a loop over the blocks only.
     """
 
     def __init__(self, Ad, Bd, Cd, Dd):
@@ -153,6 +154,48 @@ class BlockMap:
                 M = np.hstack([M[:, :ns], M[:, ns:].reshape(len(M), k, nu).sum(axis=1)])
             self._ticks[key] = M
         return self._ticks[key]
+
+    def lifted(self, x0, U, k, rows=None):
+        """Run the n steps of U from x0 as k-step blocks, with no loop over steps.
+
+        U holds one input row per step, shape (n, nu) plus any channel
+        axes of x0.  With tick(k) split into its state and output parts
+        [[Ā, B̄], [C̄, D̄]] and u_j block j's inputs stacked, the forcing
+        B̄·u_j of every block is one product, the block starts follow from
+        s_{j+1} = Ā·s_j + B̄·u_j, a recursion over the blocks only, and the
+        outputs C̄·s_j + D̄·u_j of every block are one product.  rows picks
+        rows of the k·p block outputs (all by default).  A last block of
+        r < k steps is padded with zero inputs: its outputs after step n
+        are the padded block's, and the final state comes from tick(r).
+
+        Returns (S, Y, x_n): the state at each block start, one row per
+        block; the picked outputs of each block, one row per block; and
+        the state after the n steps.
+        """
+        M = self.tick(k)
+        ns, nu = self.Bd.shape
+        x0, U = np.asarray(x0, dtype=float), np.asarray(U, dtype=float)
+        ch, n = x0.shape[1:], len(U)
+        c, N = int(np.prod(ch)), -(-n // k)
+        # one row per block and channel: that block's inputs, step by step
+        W = U.reshape(n, nu, c)
+        if n < N * k:
+            W = np.concatenate([W, np.zeros((N * k - n, nu, c))])
+        W = W.reshape(N, k * nu, c).transpose(0, 2, 1).reshape(N * c, k * nu)
+        F = (W @ M[:ns, ns:].T).reshape(N, c, ns)
+        S = np.empty((N + 1, c, ns))
+        S[0] = x0.reshape(ns, c).T
+        At = M[:ns, :ns].T
+        for j in range(N):
+            np.add(S[j] @ At, F[j], out=S[j + 1])
+        CD = M[ns:] if rows is None else M[ns:][rows]
+        Y = S[:N].reshape(N * c, ns) @ CD[:, :ns].T + W @ CD[:, ns:].T
+        r = n - (N - 1) * k
+        if r < k:
+            S[N] = np.concatenate([S[N - 1], W[-c:, :r * nu]], axis=1) @ self.tick(r)[:ns].T
+        S = S.transpose(0, 2, 1)
+        Y = Y.reshape(N, c, -1).transpose(0, 2, 1)
+        return S[:N].reshape((N, ns) + ch), Y.reshape((N, -1) + ch), S[N].reshape((ns,) + ch)
 
 
 def delay_chain(delay, sections):

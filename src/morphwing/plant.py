@@ -14,6 +14,10 @@ the servo section form one map whose input is the held command.  After
 it, the modal RK4 step, the noise-shaping filter and the measurement low
 pass form one map with inputs [u_eff, alpha, white noise].  The time
 grid and the gust angle are evaluated a chunk of steps at a time.
+
+A run with no controller holds a zero command from rest, so the bank
+outputs one constant row and coast() runs the post-backlash map as
+lifted block products, one block per tick, with no per-tick loop.
 """
 
 from dataclasses import dataclass
@@ -28,7 +32,8 @@ DEFAULT_LOCATIONS = np.linspace(0.15, 1.8, 12)
 # Servo section and measurement low pass of the bench: damping, rad/s.
 SERVO_ZETA, SERVO_OMEGA = 0.71, 16.52
 MEAS_ZETA, MEAS_OMEGA = 0.8, 10.0
-# Plant steps of time grid and gust angle evaluated at once.
+# Plant steps of time grid and gust angle evaluated at once; also about
+# the steps of one chunk of coast's lifted products.
 GUST_CHUNK = 1000
 
 
@@ -233,7 +238,7 @@ class NoiseModel:
 
 @dataclass
 class PlantOutput:
-    """One plant step's outputs, or one row per step for a block."""
+    """One plant step's outputs, or one row per step for a block (per block for coast)."""
 
     y_true: np.ndarray   # noise-free loads
     y_raw: np.ndarray    # loads + colored noise
@@ -327,6 +332,53 @@ class WingSimulator:
             y_true, y_raw, y_filt = Y[:, :2], Y[:, 2:4], Y[:, 4:]
         return PlantOutput(y_true=y_true, y_raw=y_raw, y_filt=y_filt,
                            alpha_g=alpha, u_eff=u_eff)
+
+    def coast(self, n, k):
+        """n plant steps from rest with a zero command, as k-step blocks (ticks).
+
+        Returns (X, y_true, held): the modal state at each block start,
+        y_true at every step, and a PlantOutput with one row per block
+        holding the outputs of the step before it (zero before the first).
+        At rest under a zero command the actuator bank outputs one
+        constant row, its backlash rest point times the fault scales, taken
+        from one advance(0, 1).  The post-backlash map then runs as lifted
+        block products (BlockMap.lifted) a chunk of about GUST_CHUNK steps
+        at a time, evaluating only y_true at every step and every output at
+        each block's last step.  The white noise is drawn from the same
+        generator in the same order as advance draws it, and the time grid
+        and the gust angle are the same running sum.
+        """
+        u_eff = self.actuators.advance(np.zeros(self.actuators.m), 1)[0]
+        p, nv = self.post.Dd.shape
+        m, blocks = len(u_eff), -(-n // k)
+        # y_true of every step, then every output of the last step
+        rows = np.r_[np.arange(2 * k) + np.arange(k).repeat(2) * (p - 2),
+                     (k - 1) * p + np.arange(2, p)]
+        X, y_true = np.empty((blocks, self._nx)), np.empty((n, 2))
+        # per block start: the last step's outputs and gust angle
+        held = np.zeros((blocks, p + 1))
+        chunk = max(1, round(GUST_CHUNK / k))
+        for b in range(0, blocks, chunk):
+            steps = min(chunk * k, n - b * k)
+            self._next_chunk(steps)
+            U = np.empty((steps, nv))
+            U[:, :m], U[:, m] = u_eff, self._alpha[:steps]
+            if self.noise is not None:
+                U[:, m + 1:] = self.noise.rng.standard_normal((steps, self.noise.std.size))
+            S, Y, state = self.post.lifted(self.state, U, k, rows)
+            if not (np.isfinite(S).all() and np.isfinite(state).all()):
+                raise NonFiniteState("plant block produced non-finite state")
+            self.state, self._k = state, steps
+            X[b:b + len(S)] = S[:, :self._nx]
+            y_true[b * k:b * k + steps] = Y[:, :2 * k].reshape(-1, 2)[:steps]
+            ends = held[b + 1:b + 1 + len(S)]
+            ends[:, :p] = Y[:len(ends), 2 * k - 2:]
+            ends[:, p] = self._alpha[k - 1:steps:k][:len(ends)]
+        y = held[:, :p] if self.noise is not None else np.tile(held[:, :2], 3)
+        u_held = np.zeros((blocks, m))
+        u_held[1:] = u_eff
+        return X, y_true, PlantOutput(y_true=y[:, :2], y_raw=y[:, 2:4], y_filt=y[:, 4:],
+                                      alpha_g=held[:, p], u_eff=u_held)
 
     def _next_chunk(self, n):
         """Times and gust angles of the next max(n, GUST_CHUNK) steps; np.cumsum

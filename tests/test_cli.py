@@ -110,6 +110,21 @@ def test_design_failure_exits_two(tmp_path):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("body", ["plant: {dc_split: 2.2e-309}\n", "plant: {fy_gain: -2.1e200}\n"],
+                         ids=["invalid-value-in-plant-map", "overflow-in-compiled-qp"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_floating_point_error_exits_two_with_one_line(tmp_path, body):
+    # numpy's invalid-value and overflow warnings end the run as a divergence,
+    # with no warning line before the message
+    path = tmp_path / "absurd.yaml"
+    path.write_text(body)
+    result = CliRunner().invoke(main, ["run", str(path), "--out", str(tmp_path)])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    lines = result.output.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("runtime divergence:"), result.output
+
+
 def test_compare_writes_table(tmp_path):
     cfg_path = write_cfg(tmp_path / "s.yaml")
     result = CliRunner().invoke(
@@ -190,6 +205,7 @@ def scenario_yaml(draw):
     return yaml.safe_dump(data) + tail
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @given(text=scenario_yaml())
 @settings(max_examples=60, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])

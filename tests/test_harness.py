@@ -12,9 +12,11 @@ from morphwing.errors import ConfigError
 from morphwing.harness import (
     RunLog,
     ScenarioConfig,
+    _simulate,
     build_controller,
     build_limits,
     build_model,
+    build_simulator,
     certify_run,
     compare_controllers,
     compute_metrics,
@@ -223,6 +225,71 @@ class TestRunProtocol:
         log, _ = run_scenario(cfg, pair_open_loop=False)
         with pytest.raises(ConfigError):
             certify_run(log, cfg)
+
+
+def per_tick_open_loop(cfg):
+    """The open-loop RunLog fields as a tick loop fills them: sim.advance(zeros,
+    stride) one tick at a time, each tick's row holding the modal state at its
+    start and the outputs of the step before it (zero before the first)."""
+    model = build_model(cfg)
+    sim = build_simulator(cfg, model)
+    stride = int(round(cfg.dt_ctrl / cfg.dt_plant))
+    n = int(round(cfg.duration / cfg.dt_plant))
+    ticks = -(-n // stride)
+    x, held, y_true_plant = np.zeros((ticks, model.A.shape[0])), np.zeros((ticks, 19)), []
+    for tick in range(ticks):
+        x[tick] = sim.x
+        out = sim.advance(np.zeros(12), min(stride, n - tick * stride))
+        y_true_plant.append(out.y_true)
+        if tick + 1 < ticks:
+            held[tick + 1] = np.concatenate([out.y_true[-1], out.y_raw[-1], out.y_filt[-1],
+                                             out.alpha_g[-1:], out.u_eff[-1]])
+    t_plant = np.arange(n) * cfg.dt_plant
+    y_ref_plant = reference_fn(cfg)(t_plant)
+    return dict(t=t_plant[::stride], t_plant=t_plant, y_ref=y_ref_plant[::stride],
+                y_ref_plant=y_ref_plant, u=np.zeros((ticks, 12)), u_v=np.zeros((ticks, cfg.q)),
+                alpha_g=held[:, 6], u_eff=held[:, 7:], y_true=held[:, :2], y_raw=held[:, 2:4],
+                y_filt=held[:, 4:6], x=x, y_true_plant=np.vstack(y_true_plant))
+
+
+def open_loop_cfg(duration=2.01, **sections):
+    return ScenarioConfig.from_dict({"controller": "open-loop", "duration": duration,
+                                     "gust": {"d_gw": 0.3, "f_g": 2.0}, **sections})
+
+
+HARSH = {"noise": {"enabled": True}, "fault": {"enabled": True}, "actuators": {"backlash": True}}
+
+
+@pytest.mark.parametrize("cfg", [
+    open_loop_cfg(),
+    open_loop_cfg(noise={"enabled": True}),
+    open_loop_cfg(**HARSH),
+    open_loop_cfg(**{**HARSH, "actuators": {"backlash": True, "u_f_plus": -0.2}}),
+    open_loop_cfg(actuators={"instant": True}, fault={"enabled": True}),
+    open_loop_cfg(duration=2.007, noise={"enabled": True}),
+    open_loop_cfg(duration=0.007, gust={"d_gw": 0.0, "f_g": 2.0}, noise={"enabled": True}),
+    open_loop_cfg(duration=1.2, dt_ctrl=0.001, noise={"enabled": True}),
+], ids=["clean", "noise", "harsh", "backlash-rest-point", "instant", "partial-last-tick",
+        "shorter-than-a-tick", "tick-is-one-plant-step"])
+def test_open_loop_run_matches_per_tick_advance(cfg):
+    # the lifted open-loop run: time, gust, references and commands bit for
+    # bit, loads and modal states within 1e-11 of their peak
+    log, want = _simulate(cfg), per_tick_open_loop(cfg)
+    for name in ("t", "t_plant", "alpha_g", "y_ref", "y_ref_plant", "u", "u_v", "u_eff"):
+        assert getattr(log, name).dtype == want[name].dtype, name
+        assert np.array_equal(getattr(log, name), want[name]), name
+    loads = ("y_true", "y_raw", "y_filt", "y_true_plant")
+    peak = max(np.abs(want[name]).max() for name in loads)
+    for name in loads:
+        assert getattr(log, name).shape == want[name].shape, name
+        assert np.abs(getattr(log, name) - want[name]).max() <= 1e-11 * peak, name
+    assert np.abs(log.x - want["x"]).max() <= 1e-11 * np.abs(want["x"]).max()
+    for name in ("eps_ca_norm", "iterations", "sat_flags", "nu_c", "eps_ca", "hedge", "e_log"):
+        assert not getattr(log, name).any(), name
+    if cfg.actuators.backlash and cfg.actuators.u_f_plus < 0.0:
+        # the backlash rest point k2 * -u_f_plus, times the fault scales
+        assert np.allclose(log.u_eff[1:], 0.2 * build_simulator(cfg, build_model(cfg))
+                           .actuators.scales)
 
 
 class TestCsv:

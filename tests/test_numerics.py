@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from morphwing.errors import BadSampling, NoStabilizingSolution, NotHurwitz, RankDeficient
 from morphwing.numerics import (
+    BlockMap,
     SecondOrderFilter,
     care_residual,
     hurwitz_margin,
@@ -181,6 +182,50 @@ class TestFilter:
     def test_bad_sampling(self):
         with pytest.raises(BadSampling):
             SecondOrderFilter(0.7, 2000.0, 0.001)
+
+
+def repeated_ticks(bm, x0, U, k):
+    """Block starts, block outputs and final state of U's steps, one tick(k) product per
+    block and a tick(r) product for a last block of r < k steps."""
+    ns, nu = bm.Bd.shape
+    x, starts, outs = x0, [], []
+    for j in range(0, len(U), k):
+        r = min(k, len(U) - j)
+        starts.append(x)
+        res = bm.tick(r) @ np.concatenate([x, U[j:j + r].reshape((r * nu,) + x0.shape[1:])])
+        x = res[:ns]
+        outs.append(res[ns:])
+    return np.array(starts), outs, x
+
+
+class TestBlockMapLifted:
+    @pytest.mark.parametrize("k, n, channels", [
+        (1, 9, ()), (4, 40, ()), (15, 137, ()), (15, 9, ()), (3, 31, (3,)), (15, 100, (2,)),
+        (6, 6, (4,)), (7, 50, (1,)),
+    ])
+    def test_lifted_matches_repeated_ticks(self, k, n, channels):
+        # random stable systems, several block lengths and channel counts, inputs
+        # ending in a remainder block (n % k != 0) or not
+        rng = np.random.default_rng(100 * k + n)
+        ns, nu, p = 6, 3, 2
+        A = rng.standard_normal((ns, ns))
+        A *= 0.97 / np.abs(np.linalg.eigvals(A)).max()
+        bm = BlockMap(A, rng.standard_normal((ns, nu)), rng.standard_normal((p, ns)),
+                      rng.standard_normal((p, nu)))
+        x0 = rng.standard_normal((ns,) + channels)
+        U = rng.standard_normal((n, nu) + channels)
+        S, Y, x_n = bm.lifted(x0, U, k)
+        starts, outs, x = repeated_ticks(bm, x0, U, k)
+        assert S.shape == starts.shape and Y.shape == (len(outs), k * p) + channels
+        assert np.abs(S - starts).max() <= 1e-12 * np.abs(starts).max()
+        assert np.abs(x_n - x).max() <= 1e-12 * np.abs(x).max()
+        peak = max(np.abs(o).max() for o in outs)
+        for got, want in zip(Y, outs):
+            # a remainder block's outputs are its first r steps
+            assert np.abs(got[:len(want)] - want).max() <= 1e-12 * peak
+        # rows picks output rows of the block, in the order given
+        rows = rng.permutation(k * p)[:max(1, k)]
+        assert np.abs(bm.lifted(x0, U, k, rows)[1] - Y[:, rows]).max() <= 1e-12 * peak
 
 
 class TestIntegrateStep:
