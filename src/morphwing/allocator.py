@@ -1,16 +1,15 @@
 """Per-step incremental control allocation.
 
-Three routes to split a pseudo-control demand over the servos:
+The command increment du is the solution of one QP: track the demanded
+pseudo-control increment t at a small cost sigma on the increment's size,
+under the compiled servo-limit inequality,
 
-* pseudo-inverse — exact, unconstrained, minimum-norm;
-* constrained QP — weighted tracking objective plus a small secondary
-  term pulling toward a preferred command, subject to the compiled
-  servo-limit inequality;
-* the same QP posed in virtual-shape coordinates, which shrinks the
-  decision space to q < m and keeps the spanwise profile smooth.
+    min |B Phi x - t|^2 + sigma |x|^2  s.t.  A Phi x <= b,  du = Phi x,
 
-The QP is compiled once; a dual active-set method, warm started
-between steps, runs only when its unconstrained optimum is infeasible.
+with Phi = I in servo space, or over virtual-shape coefficients, which
+shrinks the decision space to q < m and keeps the spanwise profile smooth.
+The QP is compiled once; a dual active-set method, warm started between
+steps, runs only when its unconstrained optimum is infeasible.
 """
 
 from dataclasses import dataclass, field
@@ -19,8 +18,6 @@ import numpy as np
 
 from .constraints import LinearInequality
 from .errors import DimensionMismatch
-from .numerics import pseudo_inverse
-from .shapes import ShapeBasis
 
 _ITER_CAP = 50
 # a violation, pivot or multiplier rate below this share of its scale is rounding
@@ -32,31 +29,30 @@ class AllocationProblem:
     """One time-step's allocation data.
 
     B_eff maps command increments to pseudo-control (load-units per
-    deg), target is the demanded pseudo-control increment, W1/W2 weight
-    the tracking and secondary objectives, sigma trades them off, u0 is
-    the current command and u_star the preferred one.
+    deg), target is the demanded pseudo-control increment, sigma the
+    cost of the increment's size, u0 the current command and ineq the
+    limits on the increment.
     """
 
     B_eff: np.ndarray
     target: np.ndarray
-    W1: np.ndarray
-    W2: np.ndarray
     sigma: float
     u0: np.ndarray
-    u_star: np.ndarray
     ineq: LinearInequality
 
     def __post_init__(self):
         self.B_eff = np.atleast_2d(np.asarray(self.B_eff, dtype=float))
         self.target = np.asarray(self.target, dtype=float)
         self.u0 = np.asarray(self.u0, dtype=float)
-        self.u_star = np.asarray(self.u_star, dtype=float)
-        self.W1 = np.asarray(self.W1, dtype=float)
-        self.W2 = np.asarray(self.W2, dtype=float)
         if self.B_eff.shape[0] != self.target.size:
             raise DimensionMismatch("B_eff rows must match target length")
-        if not (0.0 < self.sigma < 1.0):
-            raise DimensionMismatch(f"sigma must be in (0, 1), got {self.sigma}")
+
+    # read-only, for readers of the weighted form min |W1 (B du - t)|^2 +
+    # sigma |W2 (du - (u_star - u0))|^2 (the benchmark's oracle): this QP
+    # is its case W1 = I, W2 = I, u_star = u0.  They go with this class
+    W1 = property(lambda self: np.eye(self.target.size))
+    W2 = property(lambda self: np.eye(self.u0.size))
+    u_star = property(lambda self: self.u0)
 
 
 @dataclass(slots=True)
@@ -67,11 +63,6 @@ class AllocationResult:
     active_set: tuple
     status: str  # Optimal | IterationCap
     delta_u_virtual: np.ndarray = field(default=None, repr=False)
-
-
-def allocate_pseudo_inverse(B_eff, target):
-    """Minimum-norm exact increment delta_u = B+ target."""
-    return pseudo_inverse(B_eff) @ np.asarray(target, dtype=float)
 
 
 class ActiveSetQP:
@@ -144,55 +135,49 @@ class ActiveSetQP:
         return alpha * x, iterations, tuple(sorted(W)), "IterationCap"
 
 
-_SOLVER = ActiveSetQP()   # the default; it keeps no state between solves
+_SOLVER = ActiveSetQP()   # it keeps no state between solves
 
 
 class CompiledQP:
     """The run-constant parts of the allocation QP, built once per controller.
 
     Over x (du, or shape coefficients with du = Phi x; Phi is None in servo
-    space) the QP is min 0.5 x'Hx + g'x s.t. A Phi x <= b, H = (B Phi)' W1 B Phi
-    + sigma W2, g = G target - S pull.  S maps the pull u_star - u0 through Phi
-    by least squares (Phi has full column rank); W2 is the identity unless it
-    is square in x.  H is positive definite, so x0 = M target + N pull, the
-    unconstrained minimizer, is optimal if feasible.  The dual solver runs on
-    R = H^-1 (A Phi)' and P = A Phi R; the rate box takes their last 2m columns
-    and A Phi's and P's last 2m rows.
+    space) the QP is min 0.5 x'Hx - t'(B Phi) x s.t. A Phi x <= b, with
+    H = (B Phi)' B Phi + sigma I.  H is positive definite, so x0 = M t,
+    M = H^-1 (B Phi)', the unconstrained minimizer, is optimal if feasible.
+    The dual solver runs on R = H^-1 (A Phi)' and P = A Phi R; the rate box
+    takes their last 2m columns and A Phi's and P's last 2m rows.
     """
 
-    def __init__(self, B_eff, W1, W2, sigma, A, Phi=None):
+    def __init__(self, B_eff, sigma, A, Phi=None):
         if not 0.0 < sigma < 1.0:
             raise DimensionMismatch(f"sigma must be in (0, 1), got {sigma}")
-        B, proj = (B_eff, np.eye(B_eff.shape[1])) if Phi is None else (
-            B_eff @ Phi, np.linalg.solve(Phi.T @ Phi, Phi.T))
-        W2 = W2 if W2.shape[0] == B.shape[1] else np.eye(B.shape[1])
-        self.H = B.T @ W1 @ B + sigma * W2
-        self.G, self.S = -B.T @ W1, sigma * W2 @ proj
-        self.M, self.N = np.linalg.solve(self.H, -self.G), np.linalg.solve(self.H, self.S)
+        B = B_eff if Phi is None else B_eff @ Phi
+        Bt = np.ascontiguousarray(B.T)   # a transposed view rounds H differently
+        self.H = Bt @ B + sigma * np.eye(B.shape[1])
+        self.M = np.linalg.solve(self.H, Bt)
         self.A = A if Phi is None else A @ Phi
         self.R = np.linalg.solve(self.H, self.A.T)
         self.P = self.A @ self.R
 
-    def solve(self, problem, solver, warm_start):
+    def solve(self, problem, warm_start):
         """One tick's (x, iterations, active set, status); warm_start seeds the solver."""
         b = problem.ineq.b
         n = b.size   # all rows, or the rate box: the last 2m
         A, x0 = self.A[-n:], self.M @ problem.target
-        if problem.u_star is not problem.u0:   # no pull without a preferred command of its own
-            x0 = x0 + self.N @ (problem.u_star - problem.u0)
         Ax0 = A @ x0
         if (Ax0 <= b).all():   # exact: no tolerance accepts a violation
             return x0, 1, (), "Optimal"
-        return solver.solve(A, b, self.R[:, -n:], self.P[-n:, -n:], x0, Ax0 - b, warm_start)
+        return _SOLVER.solve(A, b, self.R[:, -n:], self.P[-n:, -n:], x0, Ax0 - b, warm_start)
 
 
-def allocate_qp(problem, solver=None, warm_start=(), compiled=None):
+def allocate_qp(problem, warm_start=(), compiled=None):
     """Constrained allocation in servo space; see allocate_qp_virtual."""
-    return _allocate(problem, None, solver, warm_start, compiled)
+    return _allocate(problem, None, warm_start, compiled)
 
 
-def allocate_qp_virtual(problem, basis, solver=None, warm_start=(), compiled=None):
-    """Constrained allocation over virtual-shape coefficients.
+def allocate_qp_virtual(problem, Phi, warm_start=(), compiled=None):
+    """Constrained allocation over virtual-shape coefficients, du = Phi x.
 
     The effectiveness and inequality are both composed with Phi so the
     QP searches only q coefficients; the returned increment is mapped
@@ -204,14 +189,12 @@ def allocate_qp_virtual(problem, basis, solver=None, warm_start=(), compiled=Non
     a run, so the caller checks this once (IndiController does so at
     construction) rather than on every call.
     """
-    Phi = basis.Phi if isinstance(basis, ShapeBasis) else np.asarray(basis, dtype=float)
-    return _allocate(problem, Phi, solver, warm_start, compiled)
+    return _allocate(problem, Phi, warm_start, compiled)
 
 
-def _allocate(problem, Phi, solver, warm_start, compiled):
-    compiled = compiled or CompiledQP(problem.B_eff, problem.W1, problem.W2, problem.sigma,
-                                      problem.ineq.A, Phi)
-    x, iterations, active, status = compiled.solve(problem, solver or _SOLVER, warm_start)
+def _allocate(problem, Phi, warm_start, compiled):
+    compiled = compiled or CompiledQP(problem.B_eff, problem.sigma, problem.ineq.A, Phi)
+    x, iterations, active, status = compiled.solve(problem, warm_start)
     delta_u = x if Phi is None else Phi @ x
     return AllocationResult(
         delta_u=delta_u, eps_ca=problem.B_eff @ delta_u - problem.target, iterations=iterations,

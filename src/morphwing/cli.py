@@ -56,6 +56,15 @@ def _guard(fn):
         sys.exit(3)
 
 
+def _entries(option, text):
+    """The comma-separated entries of a list option; an empty list exits 1."""
+    entries = [s.strip() for s in text.split(",") if s.strip()]
+    if not entries:
+        click.echo(f"config error: {option} lists nothing, got {text!r}", err=True)
+        sys.exit(1)
+    return entries
+
+
 def _print_report(report):
     click.echo(f"controller: {report.controller}")
     click.echo(f"  max|Fy err| {report.max_fy:.4f}  (open {report.open_max_fy:.4f}, "
@@ -104,7 +113,7 @@ def sweep(config, freqs, out, seed):
     """Gust-frequency sweep; writes a summary table CSV."""
     cfg = _guard(lambda: _load_config(config, seed))
     try:
-        freq_list = [float(f) for f in freqs.split(",") if f.strip()]
+        freq_list = [float(f) for f in _entries("--freqs", freqs)]
     except ValueError:
         click.echo(f"config error: bad --freqs list {freqs!r}", err=True)
         sys.exit(1)
@@ -134,7 +143,7 @@ def sweep(config, freqs, out, seed):
 def compare(config, controllers, out, seed):
     """Run several controllers against one paired open-loop run."""
     cfg = _guard(lambda: _load_config(config, seed))
-    names = [c.strip() for c in controllers.split(",") if c.strip()]
+    names = _entries("--controllers", controllers)
 
     def go():
         reports = compare_controllers(cfg, names)

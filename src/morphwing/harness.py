@@ -519,15 +519,10 @@ def _simulate(cfg):
                 Elog[tick] = last["e"]
                 EpsN[tick] = np.linalg.norm(last["eps_ca"])
                 Iters[tick] = last["iterations"]
-                Sat[tick] = int(len(last["active_set"]) > 0)
-                dv = last["delta_u_virtual"]
-                if dv is not None:
-                    # accumulate: the servo command is Phi times this total
-                    UV[tick] = (UV[tick - 1] if tick > 0 else 0.0) + dv
             else:
                 u = ctrl.step(out.y_raw[-1], y_ref, x_true=sim.x)
-                UV[tick] = ctrl.last["u_v"][:q]
-                Sat[tick] = int(ctrl.last["saturated"])
+            UV[tick] = ctrl.last["u_v"]
+            Sat[tick] = ctrl.last["saturated"]
             U[tick] = u
             Yraw[tick] = out.y_raw[-1]
             Yfilt[tick] = out.y_filt[-1]
@@ -620,10 +615,9 @@ def frequency_sweep(cfg, freqs):
     """
     rows = []
     for f in freqs:
-        gust = replace(cfg.gust, f_g=float(f), enabled=True)
-        duration = gust.d_gw / gust.v + gust.repeat / gust.f_g + 1.0
-        c = replace(cfg, gust=gust, duration=duration)
-        _, report = run_scenario(c)
+        c = replace(cfg, gust=replace(cfg.gust, f_g=float(f), enabled=True))   # checks f_g
+        g = c.gust
+        _, report = run_scenario(replace(c, duration=g.d_gw / g.v + g.repeat / g.f_g + 1.0))
         rows.append((float(f), report))
     return rows
 

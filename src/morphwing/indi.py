@@ -75,6 +75,8 @@ class IndiController:
     the allocation QP's constant parts, and a map from [e; lag state; u_prev;
     y_meas; y_ref] to [e'; lag state'; nu_c; hedge; target] (and the unclipped
     command for "pi").  The lag steps on the last command at a tick's start.
+    u_v sums the shape-coefficient increments (zeros but in "qp-v"); last
+    reports it and saturated (a binding tick), as LqgController does.
     """
 
     def __init__(self, B_eff, K, limits, dt, mode="qp-v", basis=None, sigma=1e-3, *,
@@ -93,10 +95,8 @@ class IndiController:
         if mode == "qp-v" and np.linalg.matrix_rank(self.B_eff @ basis.Phi, tol=1e-10) < p:
             raise RankDeficient("effectiveness composed with the shape basis lost row rank")
         self.sigma = sigma
-        self._W1 = np.eye(p)
-        self._W2 = np.eye(basis.q if mode == "qp-v" else m)
         self._qp = None if mode == "pi" else CompiledQP(
-            self.B_eff, self._W1, self._W2, sigma, limits.A, basis.Phi if mode == "qp-v" else None)
+            self.B_eff, sigma, limits.A, basis.Phi if mode == "qp-v" else None)
         self.lag = lag_model
         # without a lag model, T = [[1]] passes the commanded loads through: zero hedge
         T = np.ones((1, 1)) if lag_model is None else lag_model.T
@@ -113,6 +113,7 @@ class IndiController:
         self._T = np.vstack(rows)
         self._state = np.zeros(n)   # e, then the lag state: one column per load, row by row
         self.u_prev = np.zeros(m)
+        self.u_v = np.zeros(0 if basis is None else basis.q)   # the sum of "qp-v" increments
         self._warm = ()
         self.last = {}
 
@@ -128,7 +129,6 @@ class IndiController:
         self._state = r[:n]
         nu_c, hedge, target = r[n:n + 3 * p].reshape(3, p)
 
-        delta_u_virtual = None
         if self.mode == "pi":
             u = np.minimum(np.maximum(r[n + 3 * p:], self.limits.u_min), self.limits.u_max)
             eps_ca = self.B_eff @ (u - self.u_prev) - target
@@ -143,24 +143,24 @@ class IndiController:
                 ineq, box = rate_box(self.limits), True
             warm = () if box else self._warm
             problem = AllocationProblem(   # target copied: a view would keep all of r alive
-                B_eff=self.B_eff, target=target.copy(), W1=self._W1, W2=self._W2,
-                sigma=self.sigma, u0=self.u_prev, u_star=self.u_prev, ineq=ineq,
-            )
+                B_eff=self.B_eff, target=target.copy(), sigma=self.sigma, u0=self.u_prev,
+                ineq=ineq)
             if self.mode == "qp-v":
-                res = allocate_qp_virtual(problem, self.basis, warm_start=warm, compiled=self._qp)
+                res = allocate_qp_virtual(problem, self.basis.Phi, warm_start=warm,
+                                          compiled=self._qp)
+                self.u_v = self.u_v + res.delta_u_virtual
             else:
                 res = allocate_qp(problem, warm_start=warm, compiled=self._qp)
             self._warm = () if box else res.active_set
             u = self.u_prev + res.delta_u
             eps_ca = res.eps_ca
             iterations, active, status = res.iterations, res.active_set, res.status
-            delta_u_virtual = res.delta_u_virtual
 
         self.u_prev = u
         self.last = {
             "nu_c": nu_c, "target": target, "hedge": hedge, "eps_ca": eps_ca,
             "iterations": iterations, "active_set": active, "status": status,
-            "e": r[:p], "delta_u_virtual": delta_u_virtual,
+            "e": r[:p], "u_v": self.u_v, "saturated": bool(active),
         }
         return u
 

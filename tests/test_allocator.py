@@ -8,17 +8,17 @@ from morphwing.allocator import (
     ActiveSetQP,
     AllocationProblem,
     CompiledQP,
-    allocate_pseudo_inverse,
     allocate_qp,
     allocate_qp_virtual,
 )
 from morphwing.constraints import InputLimits, assemble, rate_box
+from morphwing.numerics import pseudo_inverse
 from morphwing.shapes import build_basis
 
 LOCS12 = np.linspace(0.15, 1.8, 12)
 
 
-def make_problem(m=4, seed=0, sigma=1e-3, target=None, u0=None, u_star=None,
+def make_problem(m=4, seed=0, sigma=1e-3, target=None, u0=None,
                  u_lim=30.0, rate=80.0, adj=10.0, dt=0.015, B=None):
     rng = np.random.default_rng(seed)
     if B is None:
@@ -27,20 +27,16 @@ def make_problem(m=4, seed=0, sigma=1e-3, target=None, u0=None, u_star=None,
         target = rng.uniform(-3.0, 3.0, size=2)
     if u0 is None:
         u0 = np.zeros(m)
-    if u_star is None:
-        u_star = u0.copy()
     lim = InputLimits(
         u_min=-u_lim * np.ones(m), u_max=u_lim * np.ones(m),
         rate_min=-rate * np.ones(m), rate_max=rate * np.ones(m),
         u_adj=adj * np.ones(m - 1), dt=dt,
     )
-    return AllocationProblem(
-        B_eff=B, target=np.asarray(target, dtype=float), W1=np.eye(2), W2=np.eye(m),
-        sigma=sigma, u0=u0, u_star=u_star, ineq=assemble(lim, u0),
-    )
+    return AllocationProblem(B_eff=B, target=np.asarray(target, dtype=float), sigma=sigma, u0=u0,
+                             ineq=assemble(lim, u0))
 
 
-def nnls_objective(problem, B=None, A=None, n=None):
+def nnls_objective(problem, B=None, A=None):
     """Exact reference optimum of the same QP, as (objective value, x).
 
     The QP min 0.5 x'Hx + g'x s.t. A x <= b is posed as a least-distance
@@ -52,17 +48,10 @@ def nnls_objective(problem, B=None, A=None, n=None):
     """
     B = problem.B_eff if B is None else B
     A = problem.ineq.A if A is None else A
-    n = B.shape[1] if n is None else n
-    du_pref = problem.u_star - problem.u0
-    if du_pref.size != n:
-        du_pref = np.zeros(n)
-    W2 = np.eye(n) if problem.W2.shape[0] != n else problem.W2
-    H = B.T @ problem.W1 @ B + problem.sigma * W2
-    g = -B.T @ problem.W1 @ problem.target - problem.sigma * W2 @ du_pref
-    x = least_distance_solve(H, g, A, problem.ineq.b)
+    H = B.T @ B + problem.sigma * np.eye(B.shape[1])
+    x = least_distance_solve(H, -B.T @ problem.target, A, problem.ineq.b)
     resid = B @ x - problem.target
-    pull = x - du_pref
-    return 0.5 * resid @ problem.W1 @ resid + 0.5 * problem.sigma * pull @ W2 @ pull, x
+    return 0.5 * resid @ resid + 0.5 * problem.sigma * x @ x, x
 
 
 def least_distance_solve(H, g, A, b):
@@ -87,36 +76,35 @@ def least_distance_solve(H, g, A, b):
     return np.linalg.solve(KKT, np.concatenate([-g, b[active]]))[:g.size]
 
 
-def qp_objective(problem, x, n=None):
-    n = problem.B_eff.shape[1] if n is None else n
+def qp_objective(problem, x):
     resid = problem.B_eff @ x - problem.target
-    W2 = problem.W2 if problem.W2.shape[0] == x.size else np.eye(x.size)
-    pull = x - (problem.u_star - problem.u0)
-    return 0.5 * resid @ problem.W1 @ resid + 0.5 * problem.sigma * pull @ W2 @ pull
+    return 0.5 * resid @ resid + 0.5 * problem.sigma * x @ x
 
 
 class TestPseudoInverseRoute:
+    """The "pi" route's unconstrained increment B+ target."""
+
     def test_frozen(self):
         B = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
         np.testing.assert_allclose(
-            allocate_pseudo_inverse(B, np.array([1.0, 0.0])),
+            pseudo_inverse(B) @ np.array([1.0, 0.0]),
             np.array([2.0, -1.0, 1.0]) / 3.0, atol=1e-12,
         )
 
     def test_zero_target(self):
         B = np.random.default_rng(0).standard_normal((2, 5))
-        np.testing.assert_allclose(allocate_pseudo_inverse(B, np.zeros(2)), np.zeros(5))
+        np.testing.assert_allclose(pseudo_inverse(B) @ np.zeros(2), np.zeros(5))
 
     def test_square(self):
         B = np.array([[2.0, 1.0], [0.0, 1.0]])
         t = np.array([1.0, 3.0])
-        np.testing.assert_allclose(allocate_pseudo_inverse(B, t), np.linalg.solve(B, t), atol=1e-12)
+        np.testing.assert_allclose(pseudo_inverse(B) @ t, np.linalg.solve(B, t), atol=1e-12)
 
     def test_exactness(self):
         rng = np.random.default_rng(4)
         B = rng.standard_normal((2, 12))
         t = rng.standard_normal(2)
-        du = allocate_pseudo_inverse(B, t)
+        du = pseudo_inverse(B) @ t
         assert np.linalg.norm(B @ du - t) < 1e-10
 
 
@@ -126,7 +114,7 @@ class TestQP:
         res = allocate_qp(problem)
         assert res.status == "Optimal"
         np.testing.assert_allclose(
-            res.delta_u, allocate_pseudo_inverse(problem.B_eff, problem.target), atol=1e-5
+            res.delta_u, pseudo_inverse(problem.B_eff) @ problem.target, atol=1e-5
         )
 
     def test_origin_optimal(self):
@@ -190,8 +178,8 @@ class TestQP:
         problem = make_problem(m=4, seed=12, target=[200.0, 100.0])
         res = allocate_qp(problem)
         # stationarity with multipliers recovered from the active rows
-        H = problem.B_eff.T @ problem.W1 @ problem.B_eff + problem.sigma * problem.W2
-        g = -problem.B_eff.T @ problem.W1 @ problem.target
+        H = problem.B_eff.T @ problem.B_eff + problem.sigma * np.eye(4)
+        g = -problem.B_eff.T @ problem.target
         grad = H @ res.delta_u + g
         if res.active_set:
             Aw = problem.ineq.A[list(res.active_set)]
@@ -212,7 +200,7 @@ class TestVirtual:
     def test_dimension_reduction(self):
         basis = build_basis(LOCS12, 1.8, 5)
         problem = make_problem(m=12, seed=22, target=[10.0, -8.0])
-        res = allocate_qp_virtual(problem, basis)
+        res = allocate_qp_virtual(problem, basis.Phi)
         assert res.delta_u_virtual.size == 5
         assert res.delta_u.size == 12
 
@@ -225,7 +213,7 @@ class TestVirtual:
                 target=rng.uniform(-200.0, 200.0, size=2),
                 u0=rng.uniform(-3.0, 3.0, size=12),
             )
-            res = allocate_qp_virtual(problem, basis)
+            res = allocate_qp_virtual(problem, basis.Phi)
             assert np.all(problem.ineq.A @ res.delta_u <= problem.ineq.b + 1e-9)
 
     def test_matches_oracle_in_virtual_space(self):
@@ -236,19 +224,19 @@ class TestVirtual:
                 m=12, seed=int(rng.integers(0, 2**31)),
                 target=rng.uniform(-100.0, 100.0, size=2),
             )
-            res = allocate_qp_virtual(problem, basis)
+            res = allocate_qp_virtual(problem, basis.Phi)
             B_v = problem.B_eff @ basis.Phi
             A_v = problem.ineq.A @ basis.Phi
-            ref, _ = nnls_objective(problem, B=B_v, A=A_v, n=5)
+            ref, _ = nnls_objective(problem, B=B_v, A=A_v)
             x = res.delta_u_virtual
             resid = B_v @ x - problem.target
-            obj = 0.5 * resid @ problem.W1 @ resid + 0.5 * problem.sigma * x @ x
+            obj = 0.5 * resid @ resid + 0.5 * problem.sigma * x @ x
             assert obj <= ref + 1e-6
 
     def test_smoothness_of_increment(self):
         basis = build_basis(LOCS12, 1.8, 5)
         problem = make_problem(m=12, seed=70, target=[50.0, -30.0])
-        res = allocate_qp_virtual(problem, basis)
+        res = allocate_qp_virtual(problem, basis.Phi)
         xc = 2.0 * basis.xs_norm - 1.0
         coeffs = np.polyfit(xc, res.delta_u, 4)
         assert np.max(np.abs(np.polyval(coeffs, xc) - res.delta_u)) < 1e-10
@@ -280,9 +268,10 @@ def test_most_violated_tie_adds_lowest_row():
 def test_iteration_cap_returns_feasible():
     problem = make_problem(m=6, seed=90, target=[400.0, -350.0])
     assert allocate_qp(problem).iterations > 2
-    res = allocate_qp(problem, solver=ActiveSetQP(max_iter=2))
-    assert res.status == "IterationCap"
-    assert np.all(problem.ineq.A @ res.delta_u <= problem.ineq.b + 1e-9)
+    H, g, A, b = direct_qp(problem, np.eye(6))
+    x, _, _, status = ActiveSetQP(max_iter=2).solve(*dual_qp(H, g, A, b))
+    assert status == "IterationCap"
+    assert np.all(A @ x <= b + 1e-9)
 
 
 def test_iteration_cap_steps_back_to_the_longest_feasible_point():
@@ -358,21 +347,25 @@ def test_binding_tick_reads_two_or_more_iterations():
 
 
 def direct_qp(problem, Phi):
-    """H, g, A Phi and b of the problem's QP (identity weights) formed per
-    call, with the pull projected through Phi by least squares: the
-    uncompiled reference that CompiledQP is checked against."""
+    """H, g, A Phi and b of the problem's QP formed per call: the uncompiled
+    reference that CompiledQP is checked against."""
     B = problem.B_eff @ Phi
-    pull = np.linalg.lstsq(Phi, problem.u_star - problem.u0, rcond=None)[0]
     H = B.T @ B + problem.sigma * np.eye(Phi.shape[1])
-    g = -B.T @ problem.target - problem.sigma * pull
-    return H, g, problem.ineq.A @ Phi, problem.ineq.b
+    return H, -B.T @ problem.target, problem.ineq.A @ Phi, problem.ineq.b
+
+
+def pulled(g, problem, Phi, pull):
+    """g with a pull toward the servo-space increment pull, projected through
+    Phi by least squares: a general gradient, which the compiled QP does
+    not take but the dual solver must."""
+    return g - problem.sigma * np.linalg.lstsq(Phi, pull, rcond=None)[0]
 
 
 def test_compiled_feasibility_check_is_exact():
     # the unconstrained minimizer overshoots a rate row by about 1e-10: no
     # tolerance may accept it, so the tick goes to the active-set solver
     problem = make_problem(m=2, B=np.eye(2), sigma=1e-3, target=[0.0, 0.0])
-    compiled = CompiledQP(problem.B_eff, np.eye(2), np.eye(2), 1e-3, problem.ineq.A)
+    compiled = CompiledQP(problem.B_eff, 1e-3, problem.ineq.A)
     problem.target = np.array([(1.2 + 1e-10) * (1.0 + 1e-3), 0.0])
     over = np.max(problem.ineq.A @ (compiled.M @ problem.target) - problem.ineq.b)
     assert 0.0 < over < 1e-9
@@ -380,65 +373,95 @@ def test_compiled_feasibility_check_is_exact():
     assert res.active_set and res.iterations > 1
     assert np.all(problem.ineq.A @ res.delta_u <= problem.ineq.b)
 
+def test_weighted_form_read_off_the_problem_is_the_compiled_qp():
+    # H and g formed from the problem's W1, W2, u_star and u0 as the
+    # benchmark's oracle forms them (benchmark/reference.py check_allocation),
+    # servo space and virtual (q = 2..12): H is the compiled H, and g is
+    # -H M target, the gradient whose minimizer the compiled QP takes
+    rng = np.random.default_rng(13)
+    for k in range(60):
+        virtual = k % 2
+        m = 12 if virtual else int(rng.integers(2, 8))
+        Phi = build_basis(LOCS12, 1.8, int(rng.integers(2, 13))).Phi if virtual else None
+        problem = make_problem(
+            m=m, seed=int(rng.integers(0, 2**31)), sigma=float(rng.uniform(1e-4, 1e-2)),
+            target=rng.uniform(-1.0, 1.0, size=2) * 10.0 ** rng.uniform(-2.0, 2.5),
+            u0=rng.uniform(-5.0, 5.0, size=m))
+        B, du_pref, W2 = problem.B_eff, problem.u_star - problem.u0, problem.W2
+        if virtual:
+            B = B @ Phi
+            du_pref = np.linalg.lstsq(Phi, du_pref, rcond=None)[0]
+            W2 = W2 if W2.shape[0] == Phi.shape[1] else np.eye(Phi.shape[1])
+        H = B.T @ problem.W1 @ B + problem.sigma * W2
+        g = -B.T @ problem.W1 @ problem.target - problem.sigma * W2 @ du_pref
+        compiled = CompiledQP(problem.B_eff, problem.sigma, problem.ineq.A, Phi)
+        np.testing.assert_array_equal(compiled.H, H)
+        np.testing.assert_allclose(compiled.H @ compiled.M @ problem.target, -g, rtol=0.0,
+                                   atol=1e-12 * np.max(np.abs(g)))
+
+
 def random_case(rng, k):
     """Case k of a stream of random problems: servo-space (even k) or
     virtual, on the full inequality or the rate box, every third without
-    a preferred-command pull.  Returns (problem, its CompiledQP built from
-    the full limit matrix, Phi, virtual, box)."""
+    a pull.  Returns (problem, its CompiledQP built from the full limit
+    matrix, Phi, virtual, box, pull: a servo-space increment or None)."""
     virtual, box = k % 2, (k // 2) % 2
     m = 12 if virtual else int(rng.integers(2, 8))
     Phi = build_basis(LOCS12, 1.8, int(rng.integers(2, 7))).Phi if virtual else np.eye(m)
     u0 = rng.uniform(-5.0, 5.0, size=m)
-    u_star = u0 + (rng.uniform(-20.0, 20.0, size=m) if k % 3 else 0.0)
+    pull = rng.uniform(-20.0, 20.0, size=m) if k % 3 else None
     problem = make_problem(
         m=m, seed=int(rng.integers(0, 2**31)), sigma=float(rng.uniform(1e-4, 1e-2)),
         target=rng.uniform(-1.0, 1.0, size=2) * 10.0 ** rng.uniform(-2.0, 2.5),
-        u0=u0, u_star=u_star, dt=float(rng.uniform(0.005, 0.03)),
+        u0=u0, dt=float(rng.uniform(0.005, 0.03)),
     )
-    compiled = CompiledQP(problem.B_eff, np.eye(2), np.eye(Phi.shape[1]), problem.sigma,
-                          problem.ineq.A, Phi if virtual else None)
+    compiled = CompiledQP(problem.B_eff, problem.sigma, problem.ineq.A, Phi if virtual else None)
     if box:
         problem.ineq = rate_box(InputLimits(
             u_min=-30.0 * np.ones(m), u_max=30.0 * np.ones(m), rate_min=-80.0 * np.ones(m),
             rate_max=80.0 * np.ones(m), u_adj=10.0 * np.ones(m - 1), dt=0.015))
-    return problem, compiled, Phi, virtual, box
+    return problem, compiled, Phi, virtual, box, pull
 
 
 def test_compiled_solve_matches_cold_active_set_and_nnls():
     # random servo-space and virtual problems, compiled once from the full
-    # limit matrix, on the full inequality and on the rate box, with and
-    # without a preferred-command pull.  The compiled QP equals the one
-    # formed directly; its solve (one product on a non-binding tick) equals
-    # the refined NNLS optimum of that QP within 1e-9: the KKT point of the
-    # rows NNLS holds active, solved cold.  NNLS's own point would not do:
-    # on case 233 it is 1.5e-9 off a limit and 1.6e-9 from the optimum
+    # limit matrix, on the full inequality and on the rate box.  The compiled
+    # QP equals the one formed directly; its solve (one product on a
+    # non-binding tick) equals the refined NNLS optimum of that QP within
+    # 1e-9: the KKT point of the rows NNLS holds active, solved cold.  NNLS's
+    # own point would not do: on case 233 it is 1.5e-9 off a limit and
+    # 1.6e-9 from the optimum.  A case with a pull has a general gradient:
+    # the dual solver takes that QP directly, from its unconstrained minimizer
     rng = np.random.default_rng(2024)
     kinds = dict.fromkeys([(v, box, bind) for v in (0, 1) for box in (0, 1) for bind in (0, 1)], 0)
     for k in range(400):
-        problem, compiled, Phi, virtual, box = random_case(rng, k)
+        problem, compiled, Phi, virtual, box, pull = random_case(rng, k)
         H, g, A, b = direct_qp(problem, Phi)
-        g_c = compiled.G @ problem.target - compiled.S @ (problem.u_star - problem.u0)
-        A_c = compiled.A[-b.size:]
         np.testing.assert_allclose(compiled.H, H, rtol=1e-14, atol=0.0)
-        np.testing.assert_allclose(g_c, g, rtol=0.0, atol=1e-12 * np.max(np.abs(g)))
-        np.testing.assert_allclose(A_c, A, rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(compiled.A[-b.size:], A, rtol=0.0, atol=1e-14)
 
-        if virtual:
-            res = allocate_qp_virtual(problem, Phi, compiled=compiled)
-            x = res.delta_u_virtual
+        if pull is not None:
+            g = pulled(g, problem, Phi, pull)
+            A, b, R, P, x0, v = dual_qp(H, g, A, b)
+            x, iterations, active, status = ((x0, 1, (), "Optimal") if (v <= 0.0).all()
+                                             else ActiveSetQP().solve(A, b, R, P, x0, v))
         else:
-            res = allocate_qp(problem, compiled=compiled)
-            x = res.delta_u
+            np.testing.assert_allclose(compiled.H @ compiled.M @ problem.target, -g, rtol=0.0,
+                                       atol=1e-12 * np.max(np.abs(g)))
+            res = (allocate_qp_virtual(problem, Phi, compiled=compiled) if virtual
+                   else allocate_qp(problem, compiled=compiled))
+            x = res.delta_u_virtual if virtual else res.delta_u
+            iterations, active, status = res.iterations, res.active_set, res.status
         x_ref = least_distance_solve(H, g, A, b)
-        assert res.status == "Optimal", k
+        assert status == "Optimal", k
         assert np.max(np.abs(x - x_ref)) <= 1e-9, (k, np.max(np.abs(x - x_ref)))
         # a problem binds when its unconstrained minimizer is infeasible
-        assert bool(res.active_set) == bool(np.any(A @ np.linalg.solve(H, -g) > b)), k
-        assert res.iterations == 1 if not res.active_set else res.iterations > 1, k
+        assert bool(active) == bool(np.any(A @ np.linalg.solve(H, -g) > b)), k
+        assert iterations == 1 if not active else iterations > 1, k
         assert np.all(A @ x <= b + 1e-9), k
         f_ref = 0.5 * x_ref @ H @ x_ref + g @ x_ref
         assert 0.5 * x @ H @ x + g @ x - f_ref <= 1e-7 * (1.0 + abs(f_ref)), k
-        kinds[virtual, box, bool(res.active_set)] += 1
+        kinds[virtual, box, bool(active)] += 1
     # every combination of route, inequality and binding is exercised
     assert min(kinds.values()) >= 10, kinds
 
@@ -449,8 +472,9 @@ def test_badly_scaled_vertex_reaches_the_optimum():
     # cycled to its cap
     rng = np.random.default_rng(2024)
     for k in range(6):
-        problem, _, Phi, _, _ = random_case(rng, k)
+        problem, _, Phi, _, _, pull = random_case(rng, k)
     H, g, A, b = direct_qp(problem, Phi)
+    g = pulled(g, problem, Phi, pull)
     solver = ActiveSetQP()
     x, iterations, active, status = solver.solve(*dual_qp(H, g, A, b))
     assert status == "Optimal"

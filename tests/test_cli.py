@@ -125,6 +125,25 @@ def test_floating_point_error_exits_two_with_one_line(tmp_path, body):
     assert len(lines) == 1 and lines[0].startswith("runtime divergence:"), result.output
 
 
+@pytest.mark.parametrize("args, field", [
+    (["sweep", "--freqs", "0"], "gust.f_g"),
+    (["sweep", "--freqs=-1"], "gust.f_g"),
+    (["sweep", "--freqs", ","], "--freqs"),
+    (["sweep", "--freqs", ""], "--freqs"),
+    (["compare", "--controllers", ","], "--controllers"),
+], ids=["sweep-zero-frequency", "sweep-negative-frequency", "sweep-no-frequency",
+        "sweep-empty-frequency-list", "compare-no-controller"])
+def test_bad_list_option_exits_one(tmp_path, args, field):
+    # a frequency is checked as gust.f_g before the sweep derives its duration
+    cfg_path = write_cfg(tmp_path / "s.yaml")
+    result = CliRunner().invoke(main, [args[0], cfg_path, *args[1:], "--out", str(tmp_path)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    lines = result.output.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error:"), result.output
+    assert field in lines[0]
+
+
 def test_compare_writes_table(tmp_path):
     cfg_path = write_cfg(tmp_path / "s.yaml")
     result = CliRunner().invoke(

@@ -169,11 +169,9 @@ class ReferenceTick:
         self.e = self.e + c.dt * (y_meas - y_ref)
         nu_c = y_ref - c.K @ self.e
         hedge = c.B_eff @ self.u - self.lag.last_output
-        problem = AllocationProblem(
-            B_eff=c.B_eff, target=nu_c - y_meas - hedge, W1=np.eye(len(nu_c)),
-            W2=np.eye(self.u.size), sigma=c.sigma, u0=self.u, u_star=self.u,
-            ineq=assemble(c.limits, self.u))
-        res = (allocate_qp_virtual(problem, c.basis, warm_start=self.warm) if c.mode == "qp-v"
+        problem = AllocationProblem(B_eff=c.B_eff, target=nu_c - y_meas - hedge, sigma=c.sigma,
+                                    u0=self.u, ineq=assemble(c.limits, self.u))
+        res = (allocate_qp_virtual(problem, c.basis.Phi, warm_start=self.warm) if c.mode == "qp-v"
                else allocate_qp(problem, warm_start=self.warm))
         self.warm, self.u = res.active_set, self.u + res.delta_u
         self.lag.step(c.B_eff @ self.u)
@@ -240,8 +238,7 @@ class TestControllerStep:
                            basis=build_basis(locs, 1.8, 5), sigma=sigma, lag_model=None)
 
     def test_on_target_holds_command(self):
-        # measurement equals the pseudo-control and the preferred command
-        # is the current one: nothing should move
+        # measurement equals the pseudo-control: nothing should move
         B, locs = make_b_eff()
         ctrl = IndiController(B, np.diag([0.1, 0.1]), make_limits(), 0.015,
                               mode="qp", lag_model=None)
@@ -258,7 +255,7 @@ class TestControllerStep:
 
     def test_perfect_static_plant_reaches_target_in_one_step(self):
         # y responds instantly through the model effectiveness: the next
-        # measurement equals nu_c up to the sigma-weighted allocation pull
+        # measurement equals nu_c up to the sigma-weighted increment cost
         B, locs = make_b_eff()
         basis = build_basis(locs, 1.8, 5)
         ctrl = IndiController(B, np.diag([0.1, 0.1]), make_limits(), 0.015,
@@ -281,6 +278,26 @@ class TestControllerStep:
         u2 = ctrl.step(np.zeros(2), np.array([1.0, 0.5]))
         assert np.all(np.abs(u1) <= 1.0 * 0.015 + 1e-9)
         assert np.all(np.abs(u2 - u1) <= 1.0 * 0.015 + 1e-9)
+
+    @pytest.mark.parametrize("mode", ["qp-v", "qp", "pi"])
+    def test_last_reports_shape_coefficients_and_binding(self, mode):
+        # u_v sums the "qp-v" increments, so Phi u_v is the command; it stays
+        # zero in servo space.  saturated marks a binding tick, as for lqg
+        B, locs = make_b_eff()
+        basis = build_basis(locs, 1.8, 5)
+        ctrl = IndiController(B, np.diag([0.1, 0.1]), make_limits(), 0.015, mode=mode,
+                              basis=basis, lag_model=None)
+        seen = set()
+        for y_ref in ([1.0, 0.5], [5000.0, 0.0], [5000.0, 0.0], [1.0, 0.5]):
+            u = ctrl.step(B @ ctrl.u_prev, np.array(y_ref))
+            last = ctrl.last
+            assert last["saturated"] is bool(last["active_set"])
+            seen.add(last["saturated"])
+            if mode == "qp-v":
+                np.testing.assert_allclose(basis.Phi @ last["u_v"], u, rtol=0.0, atol=1e-12)
+            else:
+                assert np.array_equal(last["u_v"], np.zeros(5))
+        assert seen == ({False} if mode == "pi" else {False, True})
 
     @pytest.mark.parametrize("mode", ["qp-v", "qp"])
     def test_rate_box_fallback_after_binding_rate_rows(self, mode):
