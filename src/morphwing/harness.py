@@ -26,7 +26,6 @@ from .plant import (
     ActuatorBank,
     GustProfile,
     NoiseModel,
-    PlantOutput,
     WingSimulator,
     apply_fault,
     synthesize_wing_model,
@@ -459,9 +458,13 @@ def _simulate(cfg):
     """Build and run one scenario; every run's RunLog, open loop included.
 
     A closed-loop run steps the controller and then the plant one tick at
-    a time.  An open-loop run has no controller and a zero command, so the
-    plant computes it as lifted block products (WingSimulator.coast) and
-    the log takes its rows from that.
+    a time.  The plant's tick (WingSimulator.closed_loop) writes one row
+    of its run log per tick, and the controller's measurement, the modal
+    states, the held loads, gust angles and u_eff, and y_true at every
+    step are views of that log.  An open-loop run has no controller and a
+    zero command, so the plant computes it as lifted block products
+    (WingSimulator.coast) and the log takes its rows from that.  ||eps_ca||
+    is taken for every tick after the run.
     """
     model = build_model(cfg)
     basis = build_basis(model.locations, cfg.plant.half_span, cfg.q)
@@ -477,7 +480,6 @@ def _simulate(cfg):
 
     U = np.zeros((n_ticks, m))
     UV = np.zeros((n_ticks, q))
-    EpsN = np.zeros(n_ticks)
     Iters = np.zeros(n_ticks, dtype=int)
     Sat = np.zeros(n_ticks, dtype=int)
     Nu = np.zeros((n_ticks, 2))
@@ -491,52 +493,35 @@ def _simulate(cfg):
     if ctrl is None:
         # zero command throughout: lifted block products, one block per tick
         X, Ytp, held = sim.coast(n_plant, stride)
-        Yraw, Yfilt, Ytrue, Alpha, Ueff = (held.y_raw, held.y_filt, held.y_true, held.alpha_g,
-                                           held.u_eff)
     else:
-        Yraw = np.zeros((n_ticks, 2))
-        Yfilt = np.zeros((n_ticks, 2))
-        Ytrue = np.zeros((n_ticks, 2))
-        Alpha = np.zeros(n_ticks)
-        X = np.zeros((n_ticks, model.A.shape[0]))
-        Ueff = np.zeros((n_ticks, m))
-        Ytp = np.zeros((n_plant, 2))
-        # the plant's outputs over the last tick, one row per plant step
-        zero = np.zeros((1, 2))
-        out = PlantOutput(y_true=zero, y_raw=zero, y_filt=zero, alpha_g=np.zeros(1),
-                          u_eff=np.zeros((1, m)))
+        X, Y, held, plant_tick = sim.closed_loop(n_plant, stride)
         is_indi = cfg.controller.startswith("indi")
+        meas = held.y_filt if is_indi else held.y_raw
         for tick in range(n_ticks):
-            k0 = tick * stride
-            k1 = min(k0 + stride, n_plant)
-            y_ref = Yrp[k0]
+            y_ref = Yrp[tick * stride]
             if is_indi:
-                u = ctrl.step(out.y_filt[-1], y_ref)
+                u = ctrl.step(meas[tick], y_ref)
                 last = ctrl.last
                 Nu[tick] = last["nu_c"]
                 Eps[tick] = last["eps_ca"]
                 Hedge[tick] = last["hedge"]
                 Elog[tick] = last["e"]
-                EpsN[tick] = np.linalg.norm(last["eps_ca"])
                 Iters[tick] = last["iterations"]
             else:
-                u = ctrl.step(out.y_raw[-1], y_ref, x_true=sim.x)
+                u = ctrl.step(meas[tick], y_ref, x_true=X[tick])
             UV[tick] = ctrl.last["u_v"]
             Sat[tick] = ctrl.last["saturated"]
             U[tick] = u
-            Yraw[tick] = out.y_raw[-1]
-            Yfilt[tick] = out.y_filt[-1]
-            Ytrue[tick] = out.y_true[-1]
-            Alpha[tick] = out.alpha_g[-1]
-            X[tick] = sim.x
-            Ueff[tick] = out.u_eff[-1]
-            out = sim.advance(u, k1 - k0)
-            Ytp[k0:k1] = out.y_true
+            plant_tick(u)
+        # copies, so that the run log and its unlogged columns go with the loop
+        X, Ytp = X.copy(), Y.reshape(-1, 2)[:n_plant]
+        held = replace(held, **{name: np.array(a) for name, a in vars(held).items()})
     return RunLog(
-        controller=cfg.controller, q=q, t=t_plant[::stride].copy(), u=U, u_v=UV, y_raw=Yraw,
-        y_filt=Yfilt, y_true=Ytrue, y_ref=Yrp[::stride].copy(), alpha_g=Alpha, eps_ca_norm=EpsN,
-        iterations=Iters, sat_flags=Sat, nu_c=Nu, eps_ca=Eps, hedge=Hedge, e_log=Elog, x=X,
-        u_eff=Ueff, t_plant=t_plant, y_true_plant=Ytp, y_ref_plant=Yrp,
+        controller=cfg.controller, q=q, t=t_plant[::stride].copy(), u=U, u_v=UV,
+        y_raw=held.y_raw, y_filt=held.y_filt, y_true=held.y_true, y_ref=Yrp[::stride].copy(),
+        alpha_g=held.alpha_g, eps_ca_norm=np.sqrt(np.vecdot(Eps, Eps)), iterations=Iters,
+        sat_flags=Sat, nu_c=Nu, eps_ca=Eps, hedge=Hedge, e_log=Elog, x=X, u_eff=held.u_eff,
+        t_plant=t_plant, y_true_plant=Ytp, y_ref_plant=Yrp,
     )
 
 
@@ -594,14 +579,15 @@ def compute_metrics(log, open_log):
 
 
 def compare_controllers(cfg, controllers=("indi-qp-v", "lqg")):
-    """Run several controllers against one shared open-loop reference run."""
+    """Run several controllers against one shared open-loop reference run.
+
+    Every controller's config is built, and so checked, before any run.
+    """
+    cfgs = {name: replace(cfg, controller=name) for name in controllers}
     open_log = _simulate(replace(cfg, controller="open-loop"))
     reports = {}
-    for name in controllers:
-        if name == "open-loop":
-            reports[name] = compute_metrics(open_log, open_log)
-            continue
-        log = _simulate(replace(cfg, controller=name))
+    for name, c in cfgs.items():
+        log = open_log if name == "open-loop" else _simulate(c)
         reports[name] = compute_metrics(log, open_log)
     return reports
 

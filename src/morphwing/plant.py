@@ -15,8 +15,13 @@ it, the modal RK4 step, the noise-shaping filter and the measurement low
 pass form one map with inputs [u_eff, alpha, white noise].  The time
 grid and the gust angle are evaluated a chunk of steps at a time.
 
-A run with no controller holds a zero command from rest, so the bank
-outputs one constant row and coast() runs the post-backlash map as
+A closed-loop run steps through closed_loop()'s tick: the bank writes
+u_eff into the tick's input row, whose gust angles and white noise are
+filled a chunk at a time, and one product with only the rows of the
+post-backlash map that the run keeps writes the tick's row of the run
+log.  advance() is the same map with every output row, one call per
+block.  A run with no controller holds a zero command from rest, so the
+bank outputs one constant row and coast() runs the post-backlash map as
 lifted block products, one block per tick, with no per-tick loop.
 """
 
@@ -179,11 +184,13 @@ class ActuatorBank:
     def step(self, u_cmd):
         return self.advance(u_cmd, 1)[0]
 
-    def advance(self, u_cmd, n):
-        """Effective deflections over n plant steps with u_cmd held, one row per step."""
+    def advance(self, u_cmd, n, out=None):
+        """Effective deflections over n plant steps with u_cmd held, one row per
+        step, written into out when it is given."""
+        out = np.empty((n, self.m)) if out is None else out
         u = np.asarray(u_cmd, dtype=float)
         if self.instant:
-            return np.tile(self.scales * u, (n, 1))
+            return np.multiply(self.scales, u, out=out)
         xu, ns = self._xu, len(self._xu) - 1
         xu[-1] = u
         r = self.servo.tick(n, held=True) @ xu
@@ -193,7 +200,7 @@ class ActuatorBank:
             hi, lo = self.k2 * (v - self.u_f_plus), self.k1 * (v - self.u_f_minus)
             for row, up, down in zip(v, hi, lo):
                 self.tau = np.minimum(np.maximum(self.tau, up, out=row), down, out=row)
-        return self.scales * v
+        return np.multiply(self.scales, v, out=out)
 
 
 def apply_fault(bank, failed=(8,), scaled=((7, 0.468), (9, 0.7348))):
@@ -263,6 +270,10 @@ class WingSimulator:
     without noise it is the modal map alone.  `state` is the map's state
     and `x` its modal part.  The time grid and the gust angle are
     evaluated GUST_CHUNK steps at a time, as the same running sum of dt.
+    advance() runs one block through the whole map; a closed-loop run
+    ticks through closed_loop(), which keeps only the rows its log needs
+    and writes them into that log, and a run with no controller through
+    coast().
     """
 
     def __init__(self, model, actuators=None, noise=None, gust=None, dt=DT_PLANT):
@@ -333,6 +344,68 @@ class WingSimulator:
         return PlantOutput(y_true=y_true, y_raw=y_raw, y_filt=y_filt,
                            alpha_g=alpha, u_eff=u_eff)
 
+    def closed_loop(self, n, k):
+        """n plant steps as k-step ticks, each holding the command tick(u_cmd) is given.
+
+        Returns (X, Y, held, tick).  The run log has one row per tick
+        start: the state, y_true at every step of the tick before it, that
+        tick's last y_raw and y_filt, then its last u_eff and gust angle
+        (zero before the first tick).  X (modal state at each tick start),
+        Y (y_true at every step, one (k, 2) block per tick) and held (a
+        PlantOutput with one row per tick start, as coast returns it) are
+        views of that log, which fill in as tick runs; u_eff and the gust
+        angle fill in at the end of each chunk.  The row after the last
+        tick holds the final state and that tick's loads.
+
+        A tick writes the bank's u_eff straight into its row of the input
+        buffer, whose gust angles and white noise are filled about
+        GUST_CHUNK steps at a time from the same running sum and generator
+        that advance uses.  One product with the rows of post.tick(n) that
+        the log keeps, in their order, writes the next log row (46 of the
+        102 rows of a 15-step tick for the default twin with noise).  Each
+        row comes out bit for bit as in the full product: OpenBLAS's gemv
+        on x86-64 rounds a row alike wherever it sits except among the
+        last (rows mod 4), and both products end on the same rows.  A
+        last tick of r < k steps puts its last y_raw and y_filt after its
+        r y_true rows.
+        """
+        p, nv = self.post.Dd.shape
+        ns, m, ticks = len(self.state), self.actuators.m, -(-n // k)
+        last, tail = ns + 2 * k, ns + 2 * k + p - 2
+        log = np.zeros((ticks + 1, tail + m + 1))
+        log[0, :ns] = self.state
+        kept = {r: self.post.tick(r)[np.r_[np.arange(ns), ns + _log_rows(r, p)]]
+                for r in {k, n - (ticks - 1) * k}}
+        chunk = max(1, round(GUST_CHUNK / k))
+        xu = np.empty((chunk, ns + k * nv))
+        U = xu[:, ns:].reshape(chunk, k, nv)
+        t = 0
+
+        def tick(u_cmd):
+            nonlocal t
+            j, r = t % chunk, min(k, n - t * k)
+            if j == 0:
+                steps = min(chunk * k, n - t * k)
+                xu[:, ns:] = self._next_inputs(steps, chunk * k).reshape(chunk, -1)
+            self.actuators.advance(u_cmd, r, out=U[j, :r, :m])
+            xu[j, :ns] = log[t, :ns]
+            out = log[t + 1]
+            np.matmul(kept[r], xu[j, :ns + r * nv], out=out[:ns + 2 * r + p - 2])
+            if not np.isfinite(out[:ns]).all():
+                raise NonFiniteState("plant block produced non-finite state")
+            t += 1
+            if t % chunk == 0 or t == ticks:
+                # the chunk's last u_eff and gust angle of each tick, before a refill
+                log[t - j:t + 1, tail:] = U[:j + 1, k - 1, :m + 1]
+            if t == ticks:
+                self.state = out[:ns].copy()
+
+        y_true = log[:ticks, last - 2:last]
+        y = (log[:ticks, last:last + 2], log[:ticks, last + 2:tail]) if p > 2 else (y_true,) * 2
+        held = PlantOutput(y_true=y_true, y_raw=y[0], y_filt=y[1], alpha_g=log[:ticks, -1],
+                           u_eff=log[:ticks, tail:tail + m])
+        return log[:ticks, :self._nx], log[1:, ns:last].reshape(ticks, k, 2), held, tick
+
     def coast(self, n, k):
         """n plant steps from rest with a zero command, as k-step blocks (ticks).
 
@@ -349,26 +422,20 @@ class WingSimulator:
         and the gust angle are the same running sum.
         """
         u_eff = self.actuators.advance(np.zeros(self.actuators.m), 1)[0]
-        p, nv = self.post.Dd.shape
-        m, blocks = len(u_eff), -(-n // k)
-        # y_true of every step, then every output of the last step
-        rows = np.r_[np.arange(2 * k) + np.arange(k).repeat(2) * (p - 2),
-                     (k - 1) * p + np.arange(2, p)]
+        p, m, blocks = len(self.post.Dd), len(u_eff), -(-n // k)
+        rows = _log_rows(k, p)
         X, y_true = np.empty((blocks, self._nx)), np.empty((n, 2))
         # per block start: the last step's outputs and gust angle
         held = np.zeros((blocks, p + 1))
         chunk = max(1, round(GUST_CHUNK / k))
         for b in range(0, blocks, chunk):
             steps = min(chunk * k, n - b * k)
-            self._next_chunk(steps)
-            U = np.empty((steps, nv))
-            U[:, :m], U[:, m] = u_eff, self._alpha[:steps]
-            if self.noise is not None:
-                U[:, m + 1:] = self.noise.rng.standard_normal((steps, self.noise.std.size))
+            U = self._next_inputs(steps, steps)
+            U[:, :m] = u_eff
             S, Y, state = self.post.lifted(self.state, U, k, rows)
             if not (np.isfinite(S).all() and np.isfinite(state).all()):
                 raise NonFiniteState("plant block produced non-finite state")
-            self.state, self._k = state, steps
+            self.state = state
             X[b:b + len(S)] = S[:, :self._nx]
             y_true[b * k:b * k + steps] = Y[:, :2 * k].reshape(-1, 2)[:steps]
             ends = held[b + 1:b + 1 + len(S)]
@@ -380,6 +447,19 @@ class WingSimulator:
         return X, y_true, PlantOutput(y_true=y[:, :2], y_raw=y[:, 2:4], y_filt=y[:, 4:],
                                       alpha_g=held[:, p], u_eff=u_held)
 
+    def _next_inputs(self, steps, rows):
+        """Inputs of the next `steps` plant steps, one row per step and zero
+        rows up to `rows`: a new time chunk's gust angles and, with noise,
+        white noise drawn in advance's order; u_eff is left zero."""
+        m = self.actuators.m
+        self._next_chunk(steps)
+        U = np.zeros((rows, self.post.Bd.shape[1]))
+        U[:steps, m] = self._alpha[:steps]
+        if self.noise is not None:
+            U[:steps, m + 1:] = self.noise.rng.standard_normal((steps, self.noise.std.size))
+        self._k = steps
+        return U
+
     def _next_chunk(self, n):
         """Times and gust angles of the next max(n, GUST_CHUNK) steps; np.cumsum
         is a sequential running sum, so t is bit for bit that of t += dt."""
@@ -388,6 +468,12 @@ class WingSimulator:
         self._alpha = (gust_angle(self.gust, self._times[:k]) if self.gust is not None
                        else np.zeros(k))
         self._k = 0
+
+
+def _log_rows(k, p):
+    """Of the k p output rows of a k-step block, y_true of every step and the
+    other outputs of the last step."""
+    return np.r_[np.arange(2 * k) + np.arange(k).repeat(2) * (p - 2), (k - 1) * p + np.arange(2, p)]
 
 
 def _measured(modal, noise, meas):

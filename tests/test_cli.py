@@ -4,6 +4,7 @@ import tempfile
 from dataclasses import fields, is_dataclass
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from click.testing import CliRunner
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from morphwing import harness
 from morphwing.cli import main
 from morphwing.harness import ScenarioConfig
+from morphwing.indi import IndiController
 
 
 def write_cfg(path, cfg=None):
@@ -142,6 +144,39 @@ def test_bad_list_option_exits_one(tmp_path, args, field):
     lines = result.output.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("config error:"), result.output
     assert field in lines[0]
+
+
+def test_bad_controller_name_exits_one_before_any_run(tmp_path, monkeypatch):
+    # every controller name is checked before the shared open-loop run
+    calls = []
+    simulate = harness._simulate
+    monkeypatch.setattr(harness, "_simulate", lambda cfg: calls.append(cfg) or simulate(cfg))
+    cfg_path = write_cfg(tmp_path / "s.yaml")
+    result = CliRunner().invoke(main, ["compare", cfg_path, "--controllers", "indi-qp-v,foo",
+                                       "--out", str(tmp_path)])
+    assert result.exit_code == 1
+    lines = result.output.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: controller must be one of")
+    assert "'foo'" in lines[0]
+    assert calls == []
+
+
+def test_non_finite_plant_state_exits_two_with_one_line(tmp_path, monkeypatch):
+    # a NaN command makes the closed-loop plant state non-finite on its tick
+    calls, step = [], IndiController.step
+
+    def nan_on_tick_5(ctrl, y_meas, y_ref):
+        u = step(ctrl, y_meas, y_ref)
+        calls.append(None)
+        return np.full_like(u, np.nan) if len(calls) == 6 else u
+
+    monkeypatch.setattr(IndiController, "step", nan_on_tick_5)
+    cfg_path = write_cfg(tmp_path / "s.yaml")
+    result = CliRunner().invoke(main, ["run", cfg_path, "--out", str(tmp_path)])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    lines = result.output.strip().splitlines()
+    assert lines == ["runtime divergence: plant block produced non-finite state"], result.output
 
 
 def test_compare_writes_table(tmp_path):

@@ -1,6 +1,6 @@
 """Scenario configuration, run protocol, metrics, and CSV logging tests."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from morphwing.errors import ConfigError
+from morphwing.errors import ConfigError, NonFiniteState
 from morphwing.harness import (
     RunLog,
     ScenarioConfig,
@@ -29,6 +29,7 @@ from morphwing.harness import (
     reference_fn,
     run_scenario,
 )
+from morphwing.indi import IndiController
 from morphwing.shapes import build_basis
 
 
@@ -290,6 +291,103 @@ def test_open_loop_run_matches_per_tick_advance(cfg):
         # the backlash rest point k2 * -u_f_plus, times the fault scales
         assert np.allclose(log.u_eff[1:], 0.2 * build_simulator(cfg, build_model(cfg))
                            .actuators.scales)
+
+
+def per_tick_closed_loop(cfg):
+    """Every RunLog array of a closed-loop run as a tick loop over sim.advance
+    fills it: the controller steps on the outputs of the step before the
+    tick (zero before the first), then sim.advance(u, stride) runs the tick
+    with the command held; each tick's row holds the modal state at its start."""
+    model = build_model(cfg)
+    basis = build_basis(model.locations, cfg.plant.half_span, cfg.q)
+    sim = build_simulator(cfg, model)
+    ctrl = build_controller(cfg, model, basis, build_limits(cfg))
+    stride = int(round(cfg.dt_ctrl / cfg.dt_plant))
+    n = int(round(cfg.duration / cfg.dt_plant))
+    t_plant = np.arange(n) * cfg.dt_plant
+    y_ref_plant = reference_fn(cfg)(t_plant)
+    indi = cfg.controller.startswith("indi")
+    rows, y_true_plant = [], []
+    zero = np.zeros((1, 2))
+    out = SimpleNamespace(y_true=zero, y_raw=zero, y_filt=zero, alpha_g=np.zeros(1),
+                          u_eff=np.zeros((1, 12)))
+    for k0 in range(0, n, stride):
+        x = sim.x.copy()
+        if indi:
+            u = ctrl.step(out.y_filt[-1], y_ref_plant[k0])
+            tick = {name: np.array(ctrl.last[key]) for name, key in (
+                ("nu_c", "nu_c"), ("eps_ca", "eps_ca"), ("hedge", "hedge"), ("e_log", "e"))}
+            tick["eps_ca_norm"] = np.linalg.norm(ctrl.last["eps_ca"])
+            tick["iterations"] = ctrl.last["iterations"]
+        else:
+            u = ctrl.step(out.y_raw[-1], y_ref_plant[k0], x_true=sim.x)
+            tick = dict(nu_c=np.zeros(2), eps_ca=np.zeros(2), hedge=np.zeros(2),
+                        e_log=np.zeros(2), eps_ca_norm=0.0, iterations=0)
+        rows.append(dict(tick, u=np.array(u), u_v=np.array(ctrl.last["u_v"]),
+                         sat_flags=int(ctrl.last["saturated"]), x=x, y_true=out.y_true[-1],
+                         y_raw=out.y_raw[-1], y_filt=out.y_filt[-1], alpha_g=out.alpha_g[-1],
+                         u_eff=out.u_eff[-1]))
+        out = sim.advance(u, min(stride, n - k0))
+        y_true_plant.append(out.y_true)
+    want = {name: np.array([row[name] for row in rows]) for name in rows[0]}
+    return dict(want, t=t_plant[::stride], t_plant=t_plant, y_ref=y_ref_plant[::stride],
+                y_ref_plant=y_ref_plant, y_true_plant=np.vstack(y_true_plant))
+
+
+def closed_loop_cfg(controller="indi-qp-v", duration=2.01, **sections):
+    return ScenarioConfig.from_dict({"controller": controller, "duration": duration,
+                                     "gust": {"d_gw": 0.3, "f_g": 2.0}, **sections})
+
+
+MANEUVER_HARSH = {"duration": 20.0, "command": {"profile": "fy+35%", "t_start": 10.0, "rate": 2.0},
+                  "gust": {"enabled": False}, **HARSH}
+
+
+@pytest.mark.parametrize("cfg, binding", [
+    (closed_loop_cfg(noise={"enabled": True}), False),
+    (ScenarioConfig.from_dict({"controller": "indi-qp-v", **MANEUVER_HARSH}), True),
+    (ScenarioConfig.from_dict({"controller": "indi-qp", **MANEUVER_HARSH}), True),
+    (ScenarioConfig.from_dict({"controller": "indi-pi", **MANEUVER_HARSH}), False),
+    (closed_loop_cfg("lqg", noise={"enabled": True}), False),
+    (closed_loop_cfg("lqg"), False),
+    (closed_loop_cfg(duration=2.007, noise={"enabled": True}), False),
+    (closed_loop_cfg(duration=1.2, dt_ctrl=0.001, noise={"enabled": True}), False),
+    (closed_loop_cfg(actuators={"instant": True}, fault={"enabled": True}), False),
+    (closed_loop_cfg(actuators={"delay": 0.0}, noise={"enabled": True}), False),
+    # 3,500 plant steps: four chunks of gust angles and white noise
+    (closed_loop_cfg(duration=3.5, **HARSH), False),
+], ids=["indi-qp-v-noise", "harsh-indi-qp-v", "harsh-indi-qp", "harsh-indi-pi", "lqg-noise",
+        "lqg-full-information", "partial-last-tick", "tick-is-one-plant-step", "instant",
+        "no-delay", "several-chunks"])
+def test_closed_loop_run_matches_per_tick_advance(cfg, binding):
+    # the plant's closed-loop tick into the run log: every array bit for bit
+    # what the per-tick advance loop gives, with its dtype
+    log, want = _simulate(cfg), per_tick_closed_loop(cfg)
+    for name in (f.name for f in fields(RunLog)):
+        got = getattr(log, name)
+        if isinstance(got, np.ndarray):
+            assert got.dtype == want[name].dtype, name
+            assert np.array_equal(got, want[name]), name
+    if binding:
+        assert log.sat_flags.any()
+
+
+def test_non_finite_plant_state_raises_on_its_tick(monkeypatch):
+    # a NaN command on tick 10 makes that tick's plant state non-finite; the
+    # run stops there, before the controller's next step
+    calls, step = [], IndiController.step
+
+    def nan_on_tick_10(ctrl, y_meas, y_ref):
+        u = step(ctrl, y_meas, y_ref)
+        calls.append(None)
+        return np.full_like(u, np.nan) if len(calls) == 11 else u
+
+    monkeypatch.setattr(IndiController, "step", nan_on_tick_10)
+    for noise in (False, True):
+        calls.clear()
+        with pytest.raises(NonFiniteState):
+            _simulate(closed_loop_cfg(duration=1.0, noise={"enabled": noise}))
+        assert len(calls) == 11
 
 
 class TestCsv:
