@@ -15,7 +15,7 @@ import yaml
 
 from .constraints import InputLimits
 from .errors import ConfigError
-from .indi import IndiController, certify_bounds, default_lag_model, recursion_terms
+from .indi import IndiController, certify_bounds, default_lag_model, recursion_terms, tick_dtype
 from .lqg import LqgController, design_kalman, design_lqr, perturb_model
 from .numerics import pseudo_inverse
 from .plant import (
@@ -411,7 +411,11 @@ def build_controller(cfg, model, basis, limits):
 
 @dataclass
 class RunLog:
-    """Tick-rate and plant-rate time series of one scenario run."""
+    """Tick-rate and plant-rate time series of one scenario run.
+
+    u, u_v, nu_c, eps_ca, hedge, e_log, iterations and sat_flags are the
+    controller's tick records (indi.tick_dtype) by field; each array owns its data.
+    """
 
     controller: str
     q: int
@@ -457,14 +461,13 @@ def run_scenario(cfg, pair_open_loop=True):
 def _simulate(cfg):
     """Build and run one scenario; every run's RunLog, open loop included.
 
-    A closed-loop run steps the controller and then the plant one tick at
-    a time.  The plant's tick (WingSimulator.closed_loop) writes one row
-    of its run log per tick, and the controller's measurement, the modal
-    states, the held loads, gust angles and u_eff, and y_true at every
-    step are views of that log.  An open-loop run has no controller and a
-    zero command, so the plant computes it as lifted block products
-    (WingSimulator.coast) and the log takes its rows from that.  ||eps_ca||
-    is taken for every tick after the run.
+    A closed-loop run steps any controller alike, one tick at a time: its
+    step on the plant signal it observes, the plant's tick with that
+    command (WingSimulator.closed_loop writes a row of its run log per
+    tick; the observed signals and the plant's RunLog fields are views of
+    it), then a copy of its tick record.  An open-loop run has no
+    controller and a zero command: its records stay zero and the plant
+    computes it as lifted block products (WingSimulator.coast).
     """
     model = build_model(cfg)
     basis = build_basis(model.locations, cfg.plant.half_span, cfg.q)
@@ -475,53 +478,37 @@ def _simulate(cfg):
 
     stride = int(round(cfg.dt_ctrl / cfg.dt_plant))
     n_plant = int(round(cfg.duration / cfg.dt_plant))
-    m, q = cfg.plant.m, cfg.q
     n_ticks = (n_plant + stride - 1) // stride
-
-    U = np.zeros((n_ticks, m))
-    UV = np.zeros((n_ticks, q))
-    Iters = np.zeros(n_ticks, dtype=int)
-    Sat = np.zeros(n_ticks, dtype=int)
-    Nu = np.zeros((n_ticks, 2))
-    Eps = np.zeros((n_ticks, 2))
-    Hedge = np.zeros((n_ticks, 2))
-    Elog = np.zeros((n_ticks, 2))
-
+    # the controller's own dtype object: numpy copies a record into an array of an
+    # equal but distinct dtype object field by field, about 15 times slower
+    rec = np.zeros(n_ticks, tick_dtype(cfg.plant.m, cfg.q) if ctrl is None else ctrl.last.dtype)
     t_plant = np.arange(n_plant) * cfg.dt_plant
     Yrp = ref(t_plant)
 
     if ctrl is None:
         # zero command throughout: lifted block products, one block per tick
-        X, Ytp, held = sim.coast(n_plant, stride)
+        X, Y, held = sim.coast(n_plant, stride)
     else:
         X, Y, held, plant_tick = sim.closed_loop(n_plant, stride)
-        is_indi = cfg.controller.startswith("indi")
-        meas = held.y_filt if is_indi else held.y_raw
-        for tick in range(n_ticks):
-            y_ref = Yrp[tick * stride]
-            if is_indi:
-                u = ctrl.step(meas[tick], y_ref)
-                last = ctrl.last
-                Nu[tick] = last["nu_c"]
-                Eps[tick] = last["eps_ca"]
-                Hedge[tick] = last["hedge"]
-                Elog[tick] = last["e"]
-                Iters[tick] = last["iterations"]
-            else:
-                u = ctrl.step(meas[tick], y_ref, x_true=X[tick])
-            UV[tick] = ctrl.last["u_v"]
-            Sat[tick] = ctrl.last["saturated"]
-            U[tick] = u
-            plant_tick(u)
-        # copies, so that the run log and its unlogged columns go with the loop
-        X, Ytp = X.copy(), Y.reshape(-1, 2)[:n_plant]
-        held = replace(held, **{name: np.array(a) for name, a in vars(held).items()})
+        obs = {"y_filt": held.y_filt, "y_raw": held.y_raw, "x": X}[ctrl.observes]
+        y_ref = Yrp[::stride]
+        for t in range(n_ticks):
+            plant_tick(ctrl.step(obs[t], y_ref[t]))
+            rec[t] = ctrl.last
+        Y = Y.reshape(-1, 2)[:n_plant]   # y_true at every step, as coast returns it
+        del obs, plant_tick
+    # arrays that own their data (copies where needed), the plant's first: a closed
+    # loop's run log is then freed before the records are copied
+    own = lambda a: np.require(a, requirements="CO")
+    X, Y, held = own(X), own(Y), replace(held, **{k: own(a) for k, a in vars(held).items()})
+    eps = own(rec["eps_ca"])
     return RunLog(
-        controller=cfg.controller, q=q, t=t_plant[::stride].copy(), u=U, u_v=UV,
-        y_raw=held.y_raw, y_filt=held.y_filt, y_true=held.y_true, y_ref=Yrp[::stride].copy(),
-        alpha_g=held.alpha_g, eps_ca_norm=np.sqrt(np.vecdot(Eps, Eps)), iterations=Iters,
-        sat_flags=Sat, nu_c=Nu, eps_ca=Eps, hedge=Hedge, e_log=Elog, x=X, u_eff=held.u_eff,
-        t_plant=t_plant, y_true_plant=Ytp, y_ref_plant=Yrp,
+        controller=cfg.controller, q=cfg.q, t=own(t_plant[::stride]), u=own(rec["u"]),
+        u_v=own(rec["u_v"]), y_raw=held.y_raw, y_filt=held.y_filt, y_true=held.y_true,
+        y_ref=own(Yrp[::stride]), alpha_g=held.alpha_g, eps_ca_norm=np.sqrt(np.vecdot(eps, eps)),
+        iterations=own(rec["iterations"]), sat_flags=rec["saturated"].astype(int),
+        nu_c=own(rec["nu_c"]), eps_ca=eps, hedge=own(rec["hedge"]), e_log=own(rec["e"]), x=X,
+        u_eff=held.u_eff, t_plant=t_plant, y_true_plant=Y, y_ref_plant=Yrp,
     )
 
 

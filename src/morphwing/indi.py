@@ -34,6 +34,16 @@ from .numerics import (
 from .plant import MEAS_OMEGA, MEAS_ZETA
 
 
+def tick_dtype(m, q, p=2):
+    """A controller's tick record: command u, shape coefficients u_v, then nu_c,
+    hedge, eps_ca, e, iterations and saturated; zero where a controller has none.
+    The float fields come first and packed, so a controller can write them as one
+    vector of m + q + 4p floats."""
+    return np.dtype([("u", float, (m,)), ("u_v", float, (q,)), ("nu_c", float, (p,)),
+                     ("hedge", float, (p,)), ("eps_ca", float, (p,)), ("e", float, (p,)),
+                     ("iterations", int), ("saturated", bool)])
+
+
 class LagModel:
     """Discrete model of the command-to-measurement lag chain.
 
@@ -75,8 +85,8 @@ class IndiController:
     the allocation QP's constant parts, and a map from [e; lag state; u_prev;
     y_meas; y_ref] to [e'; lag state'; nu_c; hedge; target] (and the unclipped
     command for "pi").  The lag steps on the last command at a tick's start.
-    u_v sums the shape-coefficient increments (zeros but in "qp-v"); last
-    reports it and saturated (a binding tick), as LqgController does.
+    It observes y_filt; each step overwrites its tick record last in place,
+    where u_v sums the "qp-v" increments and saturated marks a binding tick.
     """
 
     def __init__(self, B_eff, K, limits, dt, mode="qp-v", basis=None, sigma=1e-3, *,
@@ -115,24 +125,27 @@ class IndiController:
         self.u_prev = np.zeros(m)
         self.u_v = np.zeros(0 if basis is None else basis.q)   # the sum of "qp-v" increments
         self._warm = ()
-        self.last = {}
+        self.observes = "y_filt"
+        self.last = np.zeros((), tick_dtype(m, self.u_v.size, p))
+        # its float fields as one vector, written by one call a tick
+        self._floats = np.frombuffer(self.last, float, m + self.u_v.size + 4 * p)
 
     def step(self, y_meas, y_ref):
         """One controller tick: measured loads in, total command out.
 
         y_meas are the filtered load measurements, y_ref the load
         references (which are also the derivative of the integrated-load
-        reference, so they enter the pseudo-control directly).
+        reference, so they enter the pseudo-control directly).  The tick
+        goes into last until the next step; the command is a new array.
         """
         n, p = self._state.size, self.K.shape[0]
         r = self._T @ np.concatenate((self._state, self.u_prev, y_meas, y_ref))
         self._state = r[:n]
-        nu_c, hedge, target = r[n:n + 3 * p].reshape(3, p)
+        target = r[n + 2 * p:n + 3 * p]
 
         if self.mode == "pi":
             u = np.minimum(np.maximum(r[n + 3 * p:], self.limits.u_min), self.limits.u_max)
             eps_ca = self.B_eff @ (u - self.u_prev) - target
-            iterations, active, status = 0, (), "Optimal"
         else:
             # rate_box keeps only A's last 2m rows, so row indices do not carry
             # across it: a rate-box solve starts cold and leaves no warm start
@@ -154,14 +167,10 @@ class IndiController:
             self._warm = () if box else res.active_set
             u = self.u_prev + res.delta_u
             eps_ca = res.eps_ca
-            iterations, active, status = res.iterations, res.active_set, res.status
+            self.last["iterations"], self.last["saturated"] = res.iterations, bool(res.active_set)
 
         self.u_prev = u
-        self.last = {
-            "nu_c": nu_c, "target": target, "hedge": hedge, "eps_ca": eps_ca,
-            "iterations": iterations, "active_set": active, "status": status,
-            "e": r[:p], "u_v": self.u_v, "saturated": bool(active),
-        }
+        np.concatenate((u, self.u_v, r[n:n + 2 * p], eps_ca, r[:p]), out=self._floats)
         return u
 
 

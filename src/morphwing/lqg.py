@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteState, NotDetectable, NotStabilizable, NoStabilizingSolution
+from .indi import tick_dtype
 from .numerics import hurwitz_margin, integrate_step, solve_care
 
 
@@ -124,10 +125,11 @@ def design_kalman(design_model, Q_k, R_k, N_k):
 class LqgController:
     """Closed-loop composition of the regulator and the state source.
 
-    With a KalmanDesign the internal estimate feeds the regulator; with
-    kalman=None the caller must supply the true plant state each step
-    (the idealized full-information case).  Commands are servo angles
-    after the shape mapping, clamped to the position limits.
+    With a KalmanDesign it observes y_raw and its estimate feeds the
+    regulator; with kalman=None it observes the modal state x (the
+    idealized full-information case).  Commands are servo angles after the
+    shape mapping, clamped to the position limits.  Each step overwrites
+    u, u_v and saturated (a clamped tick) of its tick record last in place.
     """
 
     def __init__(self, lqr, design_model, Phi, limits, dt, kalman=None):
@@ -157,21 +159,19 @@ class LqgController:
         self.z_int = np.zeros(p)
         self._prev_integrand = np.zeros(p)
         self.u_prev = np.zeros(m)
-        self.last = {}
+        self.observes = "x" if kalman is None else "y_raw"
+        self.last = np.zeros((), tick_dtype(m, self.Phi.shape[1], p))
 
-    def step(self, y_meas, y_ref, x_true=None):
-        """One controller tick: measurement (or true state) in, servo command out."""
-        y_meas = np.asarray(y_meas, dtype=float)
+    def step(self, obs, y_ref):
+        """One controller tick: the observed signal in, a new servo command out."""
         y_ref = np.asarray(y_ref, dtype=float)
         C, D = self.model.C, self.model.D
-        if self.kalman is not None:
-            self.x_hat = self._estimator @ np.concatenate([self.x_hat, self.u_prev, y_meas])
+        if self.kalman is None:
+            self.x_hat = np.asarray(obs, dtype=float)
+        else:
+            self.x_hat = self._estimator @ np.concatenate([self.x_hat, self.u_prev, obs])
             if not np.all(np.isfinite(self.x_hat)):
                 raise NonFiniteState("estimator produced non-finite state")
-        else:
-            if x_true is None:
-                raise ValueError("full-information mode needs the true state")
-            self.x_hat = np.asarray(x_true, dtype=float)
 
         integrand = C @ self.x_hat + D @ self.u_prev - y_ref
         self.z_int = self.z_int + 0.5 * self.dt * (integrand + self._prev_integrand)
@@ -182,7 +182,6 @@ class LqgController:
         u_v = self.lqr.K_X @ X + self.lqr.K_r @ y_r_aug
         u = self.Phi @ u_v
         u_clamped = np.clip(u, self.limits.u_min, self.limits.u_max)
-        saturated = bool(np.any(np.abs(u - u_clamped) > 0.0))
-        self.u_prev = u_clamped
-        self.last = {"u_v": u_v, "saturated": saturated}
+        self.last["u_v"], self.last["saturated"] = u_v, np.any(np.abs(u - u_clamped) > 0.0)
+        self.u_prev = self.last["u"] = u_clamped
         return u_clamped

@@ -160,9 +160,9 @@ class ActuatorBank:
     the servo section are one linear map per channel with depth + 2
     states.  A block holds one command, so its map (built once per block
     length) takes [state; command] and returns every step's servo output
-    and the new state in one product.  instant=True bypasses
-    delay/lag/backlash entirely (used by the certificate identity
-    scenario where the command must take effect within one tick).
+    and the new state in one product.  instant=True (actuators.instant)
+    bypasses delay, lag and backlash: every step's output is the held
+    command times the fault scales, in effect from the step it is issued.
     """
 
     def __init__(self, m, dt=DT_PLANT, zeta=SERVO_ZETA, omega=SERVO_OMEGA, delay_s=0.015,

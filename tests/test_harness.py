@@ -29,7 +29,7 @@ from morphwing.harness import (
     reference_fn,
     run_scenario,
 )
-from morphwing.indi import IndiController
+from morphwing.indi import IndiController, tick_dtype
 from morphwing.shapes import build_basis
 
 
@@ -276,6 +276,7 @@ def test_open_loop_run_matches_per_tick_advance(cfg):
     # the lifted open-loop run: time, gust, references and commands bit for
     # bit, loads and modal states within 1e-11 of their peak
     log, want = _simulate(cfg), per_tick_open_loop(cfg)
+    assert_arrays_own_their_data(log)
     for name in ("t", "t_plant", "alpha_g", "y_ref", "y_ref_plant", "u", "u_v", "u_eff"):
         assert getattr(log, name).dtype == want[name].dtype, name
         assert np.array_equal(getattr(log, name), want[name]), name
@@ -291,6 +292,13 @@ def test_open_loop_run_matches_per_tick_advance(cfg):
         # the backlash rest point k2 * -u_f_plus, times the fault scales
         assert np.allclose(log.u_eff[1:], 0.2 * build_simulator(cfg, build_model(cfg))
                            .actuators.scales)
+
+
+def assert_arrays_own_their_data(log):
+    # no RunLog array is a view that keeps a larger run-time buffer alive
+    for name, value in vars(log).items():
+        if isinstance(value, np.ndarray):
+            assert value.flags.c_contiguous and value.flags.owndata, name
 
 
 def per_tick_closed_loop(cfg):
@@ -318,9 +326,10 @@ def per_tick_closed_loop(cfg):
             tick = {name: np.array(ctrl.last[key]) for name, key in (
                 ("nu_c", "nu_c"), ("eps_ca", "eps_ca"), ("hedge", "hedge"), ("e_log", "e"))}
             tick["eps_ca_norm"] = np.linalg.norm(ctrl.last["eps_ca"])
-            tick["iterations"] = ctrl.last["iterations"]
+            tick["iterations"] = int(ctrl.last["iterations"])
         else:
-            u = ctrl.step(out.y_raw[-1], y_ref_plant[k0], x_true=sim.x)
+            # the Kalman filter takes the raw loads; without noise the regulator takes x
+            u = ctrl.step(out.y_raw[-1] if cfg.noise.enabled else x, y_ref_plant[k0])
             tick = dict(nu_c=np.zeros(2), eps_ca=np.zeros(2), hedge=np.zeros(2),
                         e_log=np.zeros(2), eps_ca_norm=0.0, iterations=0)
         rows.append(dict(tick, u=np.array(u), u_v=np.array(ctrl.last["u_v"]),
@@ -370,6 +379,30 @@ def test_closed_loop_run_matches_per_tick_advance(cfg, binding):
             assert np.array_equal(got, want[name]), name
     if binding:
         assert log.sat_flags.any()
+    assert_arrays_own_their_data(log)
+
+
+@pytest.mark.parametrize("controller, noise, observes", [
+    ("indi-pi", False, "y_filt"), ("indi-qp", False, "y_filt"), ("indi-qp-v", True, "y_filt"),
+    ("lqg", True, "y_raw"), ("lqg", False, "x"),
+], ids=["indi-pi", "indi-qp", "indi-qp-v", "lqg-kalman", "lqg-full-information"])
+def test_controllers_share_one_tick_contract(controller, noise, observes):
+    # each controller names the plant signal it observes and fills one record
+    # of the shared dtype in place; the command it returns is its own array
+    cfg = closed_loop_cfg(controller, noise={"enabled": noise})
+    model = build_model(cfg)
+    basis = build_basis(model.locations, cfg.plant.half_span, cfg.q)
+    ctrl = build_controller(cfg, model, basis, build_limits(cfg))
+    assert ctrl.observes == observes
+    last = ctrl.last
+    assert last.shape == () and last.dtype == tick_dtype(cfg.plant.m, cfg.q)
+    obs = np.full(model.A.shape[0] if observes == "x" else 2, 0.5)
+    u = ctrl.step(obs, np.array([50.0, 10.0]))
+    assert ctrl.last is last and np.array_equal(last["u"], u) and u.any()
+    assert not np.shares_memory(u, last)
+    if controller == "lqg":
+        for name in ("nu_c", "eps_ca", "hedge", "e", "iterations"):
+            assert not last[name].any(), name
 
 
 def test_non_finite_plant_state_raises_on_its_tick(monkeypatch):

@@ -36,6 +36,18 @@ def make_b_eff(m=12, fy=2.8):
     return np.vstack([row, row * locs]), locs
 
 
+def capture_allocations(monkeypatch):
+    """Every allocation result of the controllers' ticks, in order, from here on."""
+    results = []
+    for name in ("allocate_qp", "allocate_qp_virtual"):
+        def keep(problem, *args, _alloc=getattr(indi, name), **kwargs):
+            results.append(_alloc(problem, *args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(indi, name, keep)
+    return results
+
+
 def first_nu_c(K, y_meas, y_ref, dt=0.015):
     """nu_c = y_ref - K e of a fresh controller's first tick, where e = dt (y_meas - y_ref)."""
     K = np.atleast_2d(K)
@@ -204,10 +216,9 @@ def test_controller_with_compiled_lag_matches_cascade_lag(monkeypatch, controlle
     cascade = ReferenceTick(harness.build_controller(cfg, model, basis, limits))
     assert compiled.lag.delay_ticks == round(cfg.actuators.delay / cfg.dt_ctrl)
 
-    u_compiled, binding_compiled = [], 0
-    for y_meas, y_ref in ticks:
-        u_compiled.append(compiled.step(y_meas, y_ref))
-        binding_compiled += bool(compiled.last["active_set"])
+    results = capture_allocations(monkeypatch)
+    u_compiled = [compiled.step(y_meas, y_ref) for y_meas, y_ref in ticks]
+    binding_compiled = sum(bool(res.active_set) for res in results)
     u_cascade, binding = zip(*(cascade.step(y_meas, y_ref) for y_meas, y_ref in ticks))
     assert np.array_equal(u_compiled, log.u)
     worst = np.max(np.abs(np.subtract(u_compiled, u_cascade)))
@@ -280,19 +291,24 @@ class TestControllerStep:
         assert np.all(np.abs(u2 - u1) <= 1.0 * 0.015 + 1e-9)
 
     @pytest.mark.parametrize("mode", ["qp-v", "qp", "pi"])
-    def test_last_reports_shape_coefficients_and_binding(self, mode):
+    def test_last_reports_shape_coefficients_and_binding(self, monkeypatch, mode):
         # u_v sums the "qp-v" increments, so Phi u_v is the command; it stays
         # zero in servo space.  saturated marks a binding tick, as for lqg
         B, locs = make_b_eff()
         basis = build_basis(locs, 1.8, 5)
         ctrl = IndiController(B, np.diag([0.1, 0.1]), make_limits(), 0.015, mode=mode,
                               basis=basis, lag_model=None)
-        seen = set()
+        results, seen = capture_allocations(monkeypatch), set()
         for y_ref in ([1.0, 0.5], [5000.0, 0.0], [5000.0, 0.0], [1.0, 0.5]):
+            results.clear()
             u = ctrl.step(B @ ctrl.u_prev, np.array(y_ref))
             last = ctrl.last
-            assert last["saturated"] is bool(last["active_set"])
-            seen.add(last["saturated"])
+            # "pi" allocates nothing: no active set, no iterations
+            assert bool(last["saturated"]) is bool(results and results[0].active_set)
+            assert last["iterations"] == (results[0].iterations if results else 0)
+            if results:
+                assert np.array_equal(last["eps_ca"], results[0].eps_ca)
+            seen.add(bool(last["saturated"]))
             if mode == "qp-v":
                 np.testing.assert_allclose(basis.Phi @ last["u_v"], u, rtol=0.0, atol=1e-12)
             else:
@@ -300,7 +316,7 @@ class TestControllerStep:
         assert seen == ({False} if mode == "pi" else {False, True})
 
     @pytest.mark.parametrize("mode", ["qp-v", "qp"])
-    def test_rate_box_fallback_after_binding_rate_rows(self, mode):
+    def test_rate_box_fallback_after_binding_rate_rows(self, monkeypatch, mode):
         # a huge reference binds rate rows (indices 46+ of the full A);
         # then a relative-bound violation forces the 24-row rate box,
         # where those row indices must not be reused as a warm start
@@ -308,14 +324,15 @@ class TestControllerStep:
         ctrl = IndiController(B, np.diag([0.1, 0.1]), make_limits(), 0.015,
                               mode=mode, basis=build_basis(locs, 1.8, 5), lag_model=None)
         y_ref = np.array([5000.0, 0.0])
+        results = capture_allocations(monkeypatch)
         ctrl.step(np.zeros(2), y_ref)
-        assert max(ctrl.last["active_set"]) >= 46
-        assert ctrl.last["status"] == "Optimal"
+        assert max(results[-1].active_set) >= 46
+        assert results[-1].status == "Optimal"
         u_prev = ctrl.u_prev.copy()
         u_prev[1] += 20.0  # pair (1, 2) now breaks its 10-degree relative bound
         ctrl.u_prev = u_prev.copy()
         u = ctrl.step(np.zeros(2), y_ref)
-        assert ctrl.last["status"] == "Optimal"
+        assert results[-1].status == "Optimal"
         assert np.all(np.abs(u - u_prev) <= 80.0 * 0.015 + 1e-9)
         u_next = ctrl.step(np.zeros(2), y_ref)
         assert np.all(np.abs(u_next - u) <= 80.0 * 0.015 + 1e-9)
