@@ -461,13 +461,13 @@ def run_scenario(cfg, pair_open_loop=True):
 def _simulate(cfg):
     """Build and run one scenario; every run's RunLog, open loop included.
 
-    A closed-loop run steps any controller alike, one tick at a time: its
-    step on the plant signal it observes, the plant's tick with that
-    command (WingSimulator.closed_loop writes a row of its run log per
-    tick; the observed signals and the plant's RunLog fields are views of
-    it), then a copy of its tick record.  An open-loop run has no
-    controller and a zero command: its records stay zero and the plant
-    computes it as lifted block products (WingSimulator.coast).
+    Both run paths hand over the plant's columns of one run log under
+    RunLog's field names.  A closed-loop run steps any controller alike:
+    its step on the field it observes, the plant's tick with that command
+    (WingSimulator.closed_loop writes a log row), then a copy of its tick
+    record.  An open-loop run has no controller and a zero command: its
+    records stay zero and the plant commits the log as lifted block
+    products (WingSimulator.coast).
     """
     model = build_model(cfg)
     basis = build_basis(model.locations, cfg.plant.half_span, cfg.q)
@@ -479,36 +479,32 @@ def _simulate(cfg):
     stride = int(round(cfg.dt_ctrl / cfg.dt_plant))
     n_plant = int(round(cfg.duration / cfg.dt_plant))
     n_ticks = (n_plant + stride - 1) // stride
-    # the controller's own dtype object: numpy copies a record into an array of an
-    # equal but distinct dtype object field by field, about 15 times slower
-    rec = np.zeros(n_ticks, tick_dtype(cfg.plant.m, cfg.q) if ctrl is None else ctrl.last.dtype)
+    rec = np.zeros(n_ticks, tick_dtype(cfg.plant.m, cfg.q, 2))
     t_plant = np.arange(n_plant) * cfg.dt_plant
     Yrp = ref(t_plant)
 
     if ctrl is None:
-        # zero command throughout: lifted block products, one block per tick
-        X, Y, held = sim.coast(n_plant, stride)
+        plant = sim.coast(n_plant, stride)
     else:
-        X, Y, held, plant_tick = sim.closed_loop(n_plant, stride)
-        obs = {"y_filt": held.y_filt, "y_raw": held.y_raw, "x": X}[ctrl.observes]
+        plant, plant_tick = sim.closed_loop(n_plant, stride)
+        obs = plant[ctrl.observes]
         y_ref = Yrp[::stride]
         for t in range(n_ticks):
             plant_tick(ctrl.step(obs[t], y_ref[t]))
             rec[t] = ctrl.last
-        Y = Y.reshape(-1, 2)[:n_plant]   # y_true at every step, as coast returns it
         del obs, plant_tick
-    # arrays that own their data (copies where needed), the plant's first: a closed
-    # loop's run log is then freed before the records are copied
+    # arrays that own their data (copies where needed), the plant's first: the
+    # run log is then freed before the records are copied
     own = lambda a: np.require(a, requirements="CO")
-    X, Y, held = own(X), own(Y), replace(held, **{k: own(a) for k, a in vars(held).items()})
+    plant["y_true_plant"] = plant["y_true_plant"].reshape(-1, 2)[:n_plant]
+    plant = {name: own(a) for name, a in plant.items()}
     eps = own(rec["eps_ca"])
     return RunLog(
         controller=cfg.controller, q=cfg.q, t=own(t_plant[::stride]), u=own(rec["u"]),
-        u_v=own(rec["u_v"]), y_raw=held.y_raw, y_filt=held.y_filt, y_true=held.y_true,
-        y_ref=own(Yrp[::stride]), alpha_g=held.alpha_g, eps_ca_norm=np.sqrt(np.vecdot(eps, eps)),
+        u_v=own(rec["u_v"]), y_ref=own(Yrp[::stride]), eps_ca_norm=np.sqrt(np.vecdot(eps, eps)),
         iterations=own(rec["iterations"]), sat_flags=rec["saturated"].astype(int),
-        nu_c=own(rec["nu_c"]), eps_ca=eps, hedge=own(rec["hedge"]), e_log=own(rec["e"]), x=X,
-        u_eff=held.u_eff, t_plant=t_plant, y_true_plant=Y, y_ref_plant=Yrp,
+        nu_c=own(rec["nu_c"]), eps_ca=eps, hedge=own(rec["hedge"]), e_log=own(rec["e"]),
+        t_plant=t_plant, y_ref_plant=Yrp, **plant,
     )
 
 

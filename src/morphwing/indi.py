@@ -17,6 +17,7 @@ the compiled position/rate/relative constraints remain exact.  Up to
 the allocation a tick is one product with a map built once.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,11 +35,12 @@ from .numerics import (
 from .plant import MEAS_OMEGA, MEAS_ZETA
 
 
-def tick_dtype(m, q, p=2):
+@functools.cache
+def tick_dtype(m, q, p, /):
     """A controller's tick record: command u, shape coefficients u_v, then nu_c,
     hedge, eps_ca, e, iterations and saturated; zero where a controller has none.
-    The float fields come first and packed, so a controller can write them as one
-    vector of m + q + 4p floats."""
+    Float fields come first, packed as m + q + 4p floats.  One object per (m, q, p),
+    since numpy copies records between distinct equal dtypes field by field."""
     return np.dtype([("u", float, (m,)), ("u_v", float, (q,)), ("nu_c", float, (p,)),
                      ("hedge", float, (p,)), ("eps_ca", float, (p,)), ("e", float, (p,)),
                      ("iterations", int), ("saturated", bool)])

@@ -167,7 +167,7 @@ class LqgController:
         y_ref = np.asarray(y_ref, dtype=float)
         C, D = self.model.C, self.model.D
         if self.kalman is None:
-            self.x_hat = np.asarray(obs, dtype=float)
+            self.x_hat = np.array(obs, dtype=float)
         else:
             self.x_hat = self._estimator @ np.concatenate([self.x_hat, self.u_prev, obs])
             if not np.all(np.isfinite(self.x_hat)):

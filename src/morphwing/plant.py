@@ -22,7 +22,8 @@ post-backlash map that the run keeps writes the tick's row of the run
 log.  advance() is the same map with every output row, one call per
 block.  A run with no controller holds a zero command from rest, so the
 bank outputs one constant row and coast() runs the post-backlash map as
-lifted block products, one block per tick, with no per-tick loop.
+lifted block products, one block per tick, committing each chunk of them
+into the same run log (_run_log).
 """
 
 from dataclasses import dataclass
@@ -245,7 +246,7 @@ class NoiseModel:
 
 @dataclass
 class PlantOutput:
-    """One plant step's outputs, or one row per step for a block (per block for coast)."""
+    """One plant step's outputs (step), or one row per step of a block (advance)."""
 
     y_true: np.ndarray   # noise-free loads
     y_raw: np.ndarray    # loads + colored noise
@@ -271,9 +272,8 @@ class WingSimulator:
     and `x` its modal part.  The time grid and the gust angle are
     evaluated GUST_CHUNK steps at a time, as the same running sum of dt.
     advance() runs one block through the whole map; a closed-loop run
-    ticks through closed_loop(), which keeps only the rows its log needs
-    and writes them into that log, and a run with no controller through
-    coast().
+    ticks through closed_loop() and a run with no controller goes through
+    coast(), which both fill one run log (_run_log) with only its rows.
     """
 
     def __init__(self, model, actuators=None, noise=None, gust=None, dt=DT_PLANT):
@@ -347,15 +347,9 @@ class WingSimulator:
     def closed_loop(self, n, k):
         """n plant steps as k-step ticks, each holding the command tick(u_cmd) is given.
 
-        Returns (X, Y, held, tick).  The run log has one row per tick
-        start: the state, y_true at every step of the tick before it, that
-        tick's last y_raw and y_filt, then its last u_eff and gust angle
-        (zero before the first tick).  X (modal state at each tick start),
-        Y (y_true at every step, one (k, 2) block per tick) and held (a
-        PlantOutput with one row per tick start, as coast returns it) are
-        views of that log, which fill in as tick runs; u_eff and the gust
-        angle fill in at the end of each chunk.  The row after the last
-        tick holds the final state and that tick's loads.
+        Returns (fields, tick): the run log's plant fields (_run_log), which
+        fill in as tick runs, u_eff and the gust angle at the end of each
+        chunk.  The row after the last tick holds the final state.
 
         A tick writes the bank's u_eff straight into its row of the input
         buffer, whose gust angles and white noise are filled about
@@ -369,11 +363,8 @@ class WingSimulator:
         last tick of r < k steps puts its last y_raw and y_filt after its
         r y_true rows.
         """
-        p, nv = self.post.Dd.shape
-        ns, m, ticks = len(self.state), self.actuators.m, -(-n // k)
-        last, tail = ns + 2 * k, ns + 2 * k + p - 2
-        log = np.zeros((ticks + 1, tail + m + 1))
-        log[0, :ns] = self.state
+        log, fields = self._run_log(n, k)
+        (p, nv), ns, m, ticks = self.post.Dd.shape, len(self.state), self.actuators.m, len(log) - 1
         kept = {r: self.post.tick(r)[np.r_[np.arange(ns), ns + _log_rows(r, p)]]
                 for r in {k, n - (ticks - 1) * k}}
         chunk = max(1, round(GUST_CHUNK / k))
@@ -396,39 +387,31 @@ class WingSimulator:
             t += 1
             if t % chunk == 0 or t == ticks:
                 # the chunk's last u_eff and gust angle of each tick, before a refill
-                log[t - j:t + 1, tail:] = U[:j + 1, k - 1, :m + 1]
+                log[t - j:t + 1, -1 - m:] = U[:j + 1, k - 1, :m + 1]
             if t == ticks:
                 self.state = out[:ns].copy()
 
-        y_true = log[:ticks, last - 2:last]
-        y = (log[:ticks, last:last + 2], log[:ticks, last + 2:tail]) if p > 2 else (y_true,) * 2
-        held = PlantOutput(y_true=y_true, y_raw=y[0], y_filt=y[1], alpha_g=log[:ticks, -1],
-                           u_eff=log[:ticks, tail:tail + m])
-        return log[:ticks, :self._nx], log[1:, ns:last].reshape(ticks, k, 2), held, tick
+        return fields, tick
 
     def coast(self, n, k):
         """n plant steps from rest with a zero command, as k-step blocks (ticks).
 
-        Returns (X, y_true, held): the modal state at each block start,
-        y_true at every step, and a PlantOutput with one row per block
-        holding the outputs of the step before it (zero before the first).
-        At rest under a zero command the actuator bank outputs one
-        constant row, its backlash rest point times the fault scales, taken
-        from one advance(0, 1).  The post-backlash map then runs as lifted
+        Returns the run log's plant fields (_run_log) as closed_loop fills
+        them under a zero command.  From rest the actuator bank then outputs
+        one constant row, its backlash rest point times the fault scales,
+        taken from one advance(0, 1).  The post-backlash map runs as lifted
         block products (BlockMap.lifted) a chunk of about GUST_CHUNK steps
-        at a time, evaluating only y_true at every step and every output at
-        each block's last step.  The white noise is drawn from the same
-        generator in the same order as advance draws it, and the time grid
-        and the gust angle are the same running sum.
+        at a time, evaluating only the log's output rows.  Each chunk
+        commits its block-start states, and each block's outputs and last
+        gust angle into the row after it.  The white noise is drawn from the
+        same generator in the same order as advance draws it, and the time
+        grid and the gust angle are the same running sum.
         """
+        log, fields = self._run_log(n, k)
         u_eff = self.actuators.advance(np.zeros(self.actuators.m), 1)[0]
-        p, m, blocks = len(self.post.Dd), len(u_eff), -(-n // k)
-        rows = _log_rows(k, p)
-        X, y_true = np.empty((blocks, self._nx)), np.empty((n, 2))
-        # per block start: the last step's outputs and gust angle
-        held = np.zeros((blocks, p + 1))
+        ns, m, rows = len(self.state), len(u_eff), _log_rows(k, len(self.post.Dd))
         chunk = max(1, round(GUST_CHUNK / k))
-        for b in range(0, blocks, chunk):
+        for b in range(0, len(log) - 1, chunk):
             steps = min(chunk * k, n - b * k)
             U = self._next_inputs(steps, steps)
             U[:, :m] = u_eff
@@ -436,16 +419,34 @@ class WingSimulator:
             if not (np.isfinite(S).all() and np.isfinite(state).all()):
                 raise NonFiniteState("plant block produced non-finite state")
             self.state = state
-            X[b:b + len(S)] = S[:, :self._nx]
-            y_true[b * k:b * k + steps] = Y[:, :2 * k].reshape(-1, 2)[:steps]
-            ends = held[b + 1:b + 1 + len(S)]
-            ends[:, :p] = Y[:len(ends), 2 * k - 2:]
-            ends[:, p] = self._alpha[k - 1:steps:k][:len(ends)]
-        y = held[:, :p] if self.noise is not None else np.tile(held[:, :2], 3)
-        u_held = np.zeros((blocks, m))
-        u_held[1:] = u_eff
-        return X, y_true, PlantOutput(y_true=y[:, :2], y_raw=y[:, 2:4], y_filt=y[:, 4:],
-                                      alpha_g=held[:, p], u_eff=u_held)
+            log[b:b + len(S), :ns] = S
+            log[b + 1:b + 1 + len(S), ns:ns + len(rows)] = Y
+            log[b + 1:b + 1 + steps // k, -1] = self._alpha[k - 1:steps:k]
+        fields["u_eff"][1:] = u_eff
+        return fields
+
+    def _run_log(self, n, k):
+        """The run log of n plant steps as k-step ticks, and its plant fields.
+
+        One row per tick start and one after the last tick: the state, the
+        outputs of the tick before it that _log_rows picks (y_true at every
+        step, the last y_raw and y_filt), then that tick's last u_eff and gust
+        angle; row 0 holds the current state.  Returns (log, fields): fields
+        are views of one row per tick start under RunLog's names: x (the
+        modal state), y_true, y_raw, y_filt (y_true without noise), alpha_g,
+        u_eff, and y_true_plant, one (k, 2) block per tick.  That view is
+        strided, so a reshape to one row per step copies: flatten it once filled.
+        """
+        p, ns, m, ticks = len(self.post.Dd), len(self.state), self.actuators.m, -(-n // k)
+        last, tail = ns + 2 * k, ns + 2 * k + p - 2
+        log = np.zeros((ticks + 1, tail + m + 1))
+        log[0, :ns] = self.state
+        head = log[:ticks]
+        y_true = head[:, last - 2:last]
+        y_raw, y_filt = (head[:, last:last + 2], head[:, last + 2:tail]) if p > 2 else (y_true,) * 2
+        return log, dict(x=head[:, :self._nx], y_true=y_true, y_raw=y_raw, y_filt=y_filt,
+                         alpha_g=head[:, -1], u_eff=head[:, tail:tail + m],
+                         y_true_plant=log[1:, ns:last].reshape(ticks, k, 2))
 
     def _next_inputs(self, steps, rows):
         """Inputs of the next `steps` plant steps, one row per step and zero

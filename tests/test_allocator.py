@@ -518,3 +518,24 @@ def test_controller_commands_match_cold_uncompiled_resolve(monkeypatch, controll
     assert worst <= 1e-9, worst
     assert sum(bool(res.active_set) for _, res in captured) == binding_ticks
     assert int(log.sat_flags.sum()) == binding_ticks
+
+
+@pytest.mark.parametrize("controller, binding_ticks", [("indi-qp", 26), ("indi-qp-v", 125)])
+def test_tight_limits_hold_on_every_tick(controller, binding_ticks):
+    # the fy+35% harsh run (noise, fault, backlash) against a rate limit of
+    # 20 deg/s and odd adjacency limits of 4 deg: every tick meets its
+    # position, rate and adjacent-module limits, and no solve reaches the cap
+    cfg = harness.ScenarioConfig.from_dict({
+        "controller": controller, "duration": 4.0,
+        "command": {"profile": "fy+35%", "t_start": 1.0, "rate": 2.0},
+        "gust": {"enabled": False}, "noise": {"enabled": True}, "fault": {"enabled": True},
+        "actuators": {"backlash": True}, "limits": {"rate": 20, "adj_odd": 4}})
+    log, _ = harness.run_scenario(cfg, pair_open_loop=False)
+    lim, u, tol = harness.build_limits(cfg), log.u, 1e-9
+    du = np.diff(u, axis=0, prepend=np.zeros((1, u.shape[1])))
+    assert np.all(u <= lim.u_max + tol) and np.all(u >= lim.u_min - tol)
+    assert np.all(du <= lim.rate_max * lim.dt + tol)
+    assert np.all(du >= lim.rate_min * lim.dt - tol)
+    assert np.all(np.abs(np.diff(u, axis=1)) <= lim.u_adj + tol)
+    assert int(log.sat_flags.sum()) == binding_ticks
+    assert int(log.iterations.max()) < ActiveSetQP().max_iter

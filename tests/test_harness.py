@@ -93,13 +93,16 @@ class TestConfig:
             ScenarioConfig.from_dict(data)
 
     def test_lag_model_follows_actuator_config(self):
-        cfg = ScenarioConfig.from_yaml("actuators: {omega: 20, delay: 0.03}")
-        model = build_model(cfg)
-        basis = build_basis(model.locations, cfg.plant.half_span, cfg.q)
-        ctrl = build_controller(cfg, model, basis, build_limits(cfg))
-        servo = ctrl.lag.filters[0]
-        assert (servo.zeta, servo.omega) == (cfg.actuators.zeta, 20.0)
-        assert ctrl.lag.delay_ticks == 2
+        for delay, ticks in ((0.03, 2), (0.0, 0)):
+            cfg = ScenarioConfig.from_yaml(f"actuators: {{omega: 20, delay: {delay}}}")
+            model = build_model(cfg)
+            basis = build_basis(model.locations, cfg.plant.half_span, cfg.q)
+            lag = build_controller(cfg, model, basis, build_limits(cfg)).lag
+            servo = lag.filters[0]
+            assert (servo.zeta, servo.omega) == (cfg.actuators.zeta, 20.0)
+            assert lag.delay_ticks == ticks
+            # the compiled map: delay_ticks shift-register states, two per section, and the input
+            assert lag.T.shape[0] == ticks + 2 * len(lag.filters) + 1
 
     def test_lqg_delay_need_not_be_whole_ticks(self):
         # only the INDI lag model delays by whole ticks; the plant by whole plant steps
@@ -107,6 +110,10 @@ class TestConfig:
         assert cfg.actuators.delay == 0.022
         with pytest.raises(ConfigError, match="actuators.delay"):
             replace(cfg, controller="indi-qp-v")
+        # the held-command map holds the 22 delay registers and two servo states per channel
+        bank = build_simulator(cfg, build_model(cfg)).actuators
+        assert bank.depth == 22
+        assert bank.servo.Ad.shape == (24, 24)
 
     def test_presets_are_valid(self):
         assert mla_config("fy+30%").gust.enabled is False
@@ -270,8 +277,10 @@ HARSH = {"noise": {"enabled": True}, "fault": {"enabled": True}, "actuators": {"
     open_loop_cfg(duration=2.007, noise={"enabled": True}),
     open_loop_cfg(duration=0.007, gust={"d_gw": 0.0, "f_g": 2.0}, noise={"enabled": True}),
     open_loop_cfg(duration=1.2, dt_ctrl=0.001, noise={"enabled": True}),
+    ScenarioConfig.from_dict({"controller": "open-loop", "duration": 2.005,
+                              **{**HARSH, "actuators": {"backlash": True, "u_f_plus": -0.2}}}),
 ], ids=["clean", "noise", "harsh", "backlash-rest-point", "instant", "partial-last-tick",
-        "shorter-than-a-tick", "tick-is-one-plant-step"])
+        "shorter-than-a-tick", "tick-is-one-plant-step", "rest-point-partial-tick-default-gust"])
 def test_open_loop_run_matches_per_tick_advance(cfg):
     # the lifted open-loop run: time, gust, references and commands bit for
     # bit, loads and modal states within 1e-11 of their peak
@@ -365,9 +374,10 @@ MANEUVER_HARSH = {"duration": 20.0, "command": {"profile": "fy+35%", "t_start": 
     (closed_loop_cfg(actuators={"delay": 0.0}, noise={"enabled": True}), False),
     # 3,500 plant steps: four chunks of gust angles and white noise
     (closed_loop_cfg(duration=3.5, **HARSH), False),
+    (ScenarioConfig.from_dict({"duration": 3.0, **HARSH}), False),
 ], ids=["indi-qp-v-noise", "harsh-indi-qp-v", "harsh-indi-qp", "harsh-indi-pi", "lqg-noise",
         "lqg-full-information", "partial-last-tick", "tick-is-one-plant-step", "instant",
-        "no-delay", "several-chunks"])
+        "no-delay", "several-chunks", "harsh-default-gust"])
 def test_closed_loop_run_matches_per_tick_advance(cfg, binding):
     # the plant's closed-loop tick into the run log: every array bit for bit
     # what the per-tick advance loop gives, with its dtype
@@ -395,7 +405,8 @@ def test_controllers_share_one_tick_contract(controller, noise, observes):
     ctrl = build_controller(cfg, model, basis, build_limits(cfg))
     assert ctrl.observes == observes
     last = ctrl.last
-    assert last.shape == () and last.dtype == tick_dtype(cfg.plant.m, cfg.q)
+    # the one dtype object of (m, q, p), which the run's record array takes
+    assert last.shape == () and last.dtype is tick_dtype(cfg.plant.m, cfg.q, 2)
     obs = np.full(model.A.shape[0] if observes == "x" else 2, 0.5)
     u = ctrl.step(obs, np.array([50.0, 10.0]))
     assert ctrl.last is last and np.array_equal(last["u"], u) and u.any()
@@ -403,6 +414,41 @@ def test_controllers_share_one_tick_contract(controller, noise, observes):
     if controller == "lqg":
         for name in ("nu_c", "eps_ca", "hedge", "e", "iterations"):
             assert not last[name].any(), name
+
+
+PLANT_FIELDS = {"x", "y_true", "y_raw", "y_filt", "alpha_g", "u_eff", "y_true_plant"}
+
+
+@pytest.mark.parametrize("cfg", [
+    open_loop_cfg(),
+    open_loop_cfg(noise={"enabled": True}),
+    open_loop_cfg(duration=2.007),
+    open_loop_cfg(duration=2.007, **{**HARSH, "actuators": {"backlash": True, "u_f_plus": -0.2}}),
+], ids=["clean", "noise", "partial-last-tick", "noise-backlash-rest-point-partial-last-tick"])
+def test_ticked_and_lifted_runs_fill_one_log(cfg):
+    # closed_loop under a zero command and coast hand over the same RunLog
+    # fields of one run log: gust angles and deflections bit for bit, loads
+    # and modal states within 1e-11 of their peak
+    assert PLANT_FIELDS <= {f.name for f in fields(RunLog)}
+    model = build_model(cfg)
+    k, n = round(cfg.dt_ctrl / cfg.dt_plant), round(cfg.duration / cfg.dt_plant)
+    ticked, tick = build_simulator(cfg, model).closed_loop(n, k)
+    for _ in range(-(-n // k)):
+        tick(np.zeros(cfg.plant.m))
+    lifted = build_simulator(cfg, model).coast(n, k)
+    assert set(ticked) == set(lifted) == PLANT_FIELDS
+    for name in PLANT_FIELDS:
+        assert ticked[name].shape == lifted[name].shape, name
+    assert ticked["y_true_plant"].shape == (-(-n // k), k, 2)
+    for name in ("alpha_g", "u_eff"):
+        assert np.array_equal(ticked[name], lifted[name]), name
+    assert ticked["alpha_g"].any() and (ticked["u_eff"].any() or not cfg.actuators.backlash)
+    loads = [(ticked[name], lifted[name]) for name in ("y_true", "y_raw", "y_filt")]
+    loads.append(tuple(f["y_true_plant"].reshape(-1, 2)[:n] for f in (ticked, lifted)))
+    peak = max(np.abs(a).max() for a, _ in loads)
+    for a, b in loads:
+        assert np.abs(a - b).max() <= 1e-11 * peak
+    assert np.abs(ticked["x"] - lifted["x"]).max() <= 1e-11 * np.abs(ticked["x"]).max()
 
 
 def test_non_finite_plant_state_raises_on_its_tick(monkeypatch):

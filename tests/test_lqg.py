@@ -193,6 +193,16 @@ class TestController:
             assert np.allclose(u, u_ref, atol=1e-9)
             u_prev = u_ref
 
+    def test_full_information_state_is_a_copy_of_the_observation(self):
+        # stepping on a row of a larger array (a run log) keeps no view of it
+        model, basis = twin_and_basis()
+        lq = design_lqr(perturb_model(model, rel=0.0), basis.Phi)
+        ctrl = LqgController(lq, perturb_model(model, rel=0.0), basis.Phi, make_limits(), 0.015)
+        arr = np.arange(12.0).reshape(3, 4) / 100.0
+        ctrl.step(arr[1], np.zeros(2))
+        assert np.array_equal(ctrl.x_hat, arr[1])
+        assert not np.shares_memory(ctrl.x_hat, arr)
+
     def test_integral_action_removes_steady_offset(self):
         model, basis = twin_and_basis()
         lq = design_lqr(perturb_model(model, rel=0.0), basis.Phi)
