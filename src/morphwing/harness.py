@@ -204,12 +204,22 @@ class ScenarioConfig:
                     "actuators.zeta": self.actuators.zeta, "indi.k_gain": self.indi.k_gain,
                     "plant.dc_split": self.plant.dc_split, "plant.mode_damp": self.plant.mode_damp,
                     "plant.half_span": self.plant.half_span, "plant.n_modes": self.plant.n_modes,
+                    "lqg.r_weight": self.lqg.r_weight, "lqg.q_int_weight": self.lqg.q_int_weight,
                     **{f"limits.{k}": v for k, v in asdict(self.limits).items()}}
         if self.noise.enabled:
             positive["noise.zeta"] = self.noise.zeta
         for name, value in positive.items():
             if not 0.0 < value < math.inf:
                 raise ConfigError(f"{name} must be positive and finite, got {value!r}")
+        nonnegative = {"noise.std": self.noise.std, "lqg.q_k": self.lqg.q_k, "lqg.r_k": self.lqg.r_k}
+        for name, value in nonnegative.items():
+            if not 0.0 <= value < math.inf:
+                raise ConfigError(f"{name} must be non-negative and finite, got {value!r}")
+        # the Kalman filter's measurement variance, as build_controller takes it
+        r_var = self.lqg.r_k if self.lqg.r_k > 0.0 else self.noise.std * self.noise.std
+        if self.controller == "lqg" and self.noise.enabled and not r_var > 0.0:
+            raise ConfigError(f"lqg.r_k must be positive when noise.std squares to 0, got "
+                              f"lqg.r_k {self.lqg.r_k!r}, noise.std {self.noise.std!r}")
         if round(self.duration / self.dt_plant) < 1:
             raise ConfigError(
                 f"duration must cover one plant step of {self.dt_plant}, got {self.duration}")
@@ -403,7 +413,7 @@ def build_controller(cfg, model, basis, limits):
     lqr = design_lqr(dm, basis.Phi, q_int_weight=lc.q_int_weight, r_weight=lc.r_weight)
     kalman = None
     if cfg.noise.enabled:
-        r_var = lc.r_k if lc.r_k > 0.0 else cfg.noise.std ** 2
+        r_var = lc.r_k if lc.r_k > 0.0 else cfg.noise.std * cfg.noise.std
         kalman = design_kalman(dm, lc.q_k, r_var * np.eye(2),
                                np.asarray(lc.n_k, dtype=float))
     return LqgController(lqr, dm, basis.Phi, limits, cfg.dt_ctrl, kalman=kalman)

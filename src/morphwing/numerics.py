@@ -253,12 +253,6 @@ class SecondOrderFilter:
         self.state[1] = self.b[2] * x - self.a[1] * y
         return y
 
-    def continuous_magnitude(self, w):
-        """|H(jw)| of the underlying continuous-time filter."""
-        num = self.omega ** 2
-        den = complex(self.omega ** 2 - w ** 2, 2.0 * self.zeta * self.omega * w)
-        return abs(num / den)
-
 
 def integrate_step(f, x, u, dt):
     """One fixed-step RK4 update of x' = f(x, u)."""

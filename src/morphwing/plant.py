@@ -12,8 +12,10 @@ per-step recursions (numerics.BlockMap) around backlash, the only
 nonlinearity, which runs row by row.  Before it, the transport delay and
 the servo section form one map whose input is the held command.  After
 it, the modal RK4 step, the noise-shaping filter and the measurement low
-pass form one map with inputs [u_eff, alpha, white noise].  The time
-grid and the gust angle are evaluated a chunk of steps at a time.
+pass form one map with inputs [u_eff, alpha, white noise].  One method,
+_next_inputs, builds the inputs of every run path: the time grid, the
+gust angle and the white noise of the steps a caller asks for, returned
+in rows the caller holds.
 
 A closed-loop run steps through closed_loop()'s tick: the bank writes
 u_eff into the tick's input row, whose gust angles and white noise are
@@ -38,8 +40,8 @@ DEFAULT_LOCATIONS = np.linspace(0.15, 1.8, 12)
 # Servo section and measurement low pass of the bench: damping, rad/s.
 SERVO_ZETA, SERVO_OMEGA = 0.71, 16.52
 MEAS_ZETA, MEAS_OMEGA = 0.8, 10.0
-# Plant steps of time grid and gust angle evaluated at once; also about
-# the steps of one chunk of coast's lifted products.
+# About the plant steps whose inputs closed_loop and coast take at once:
+# one chunk of closed_loop's input rows and of coast's lifted products.
 GUST_CHUNK = 1000
 
 
@@ -269,11 +271,12 @@ class WingSimulator:
     white noise and holds the noise-shaping filter (its gain folded in)
     and the measurement low pass, so it returns [y_true, y_raw, y_filt];
     without noise it is the modal map alone.  `state` is the map's state
-    and `x` its modal part.  The time grid and the gust angle are
-    evaluated GUST_CHUNK steps at a time, as the same running sum of dt.
-    advance() runs one block through the whole map; a closed-loop run
-    ticks through closed_loop() and a run with no controller goes through
-    coast(), which both fill one run log (_run_log) with only its rows.
+    and `x` its modal part; `t` is the time after the steps taken.
+    _next_inputs gives every path its input rows: the gust angle on the
+    running sum of dt and the white noise, in step order.  advance() runs
+    one block through the whole map; a closed-loop run ticks through
+    closed_loop() and a run with no controller goes through coast(),
+    which both fill one run log (_run_log) with only its rows.
     """
 
     def __init__(self, model, actuators=None, noise=None, gust=None, dt=DT_PLANT):
@@ -296,7 +299,7 @@ class WingSimulator:
             post = _measured(post, noise, self.meas_filter)
         self.post = BlockMap(*post)
         self.state = np.zeros(len(self.post.Ad))
-        self._times, self._alpha, self._k = np.zeros(1), np.zeros(0), 0
+        self.t = 0.0
 
     @property
     def x(self):
@@ -307,11 +310,6 @@ class WingSimulator:
     def x(self, value):
         self.state[:self._nx] = value
 
-    @property
-    def t(self):
-        """Time after the steps taken, the running sum of dt."""
-        return self._times[self._k]
-
     def step(self, u_cmd):
         """Advance one plant step with the command held constant."""
         out = self.advance(u_cmd, 1)
@@ -320,29 +318,20 @@ class WingSimulator:
 
     def advance(self, u_cmd, n):
         """Advance n plant steps with the command held; one output row per step."""
-        u_eff = self.actuators.advance(u_cmd, n)
-        if self._k + n > len(self._alpha):
-            self._next_chunk(n)
-        k, ns, m = self._k, len(self.state), u_eff.shape[1]
-        alpha = self._alpha[k:k + n]
-        xu = np.empty(ns + n * self.post.Bd.shape[1])
-        xu[:ns] = self.state
-        U = xu[ns:].reshape(n, -1)
-        U[:, :m], U[:, m] = u_eff, alpha
-        if self.noise is not None:
-            # the white noise the noise model would draw, shaped inside the map
-            U[:, m + 1:] = self.noise.rng.standard_normal((n, self.noise.std.size))
-        r = self.post.tick(n) @ xu
+        ns, m = len(self.state), self.actuators.m
+        U = self._next_inputs(n, n)
+        u_eff = self.actuators.advance(u_cmd, n, out=U[:, :m])
+        r = self.post.tick(n) @ np.concatenate([self.state, U.ravel()])
         if not np.isfinite(r[:ns]).all():
             raise NonFiniteState("plant block produced non-finite state")
-        self.state, self._k = r[:ns], k + n
+        self.state = r[:ns]
         Y = r[ns:].reshape(n, -1)
         if self.noise is None:
             y_true, y_raw, y_filt = Y, Y.copy(), Y.copy()
         else:
             y_true, y_raw, y_filt = Y[:, :2], Y[:, 2:4], Y[:, 4:]
         return PlantOutput(y_true=y_true, y_raw=y_raw, y_filt=y_filt,
-                           alpha_g=alpha, u_eff=u_eff)
+                           alpha_g=U[:, m], u_eff=u_eff)
 
     def closed_loop(self, n, k):
         """n plant steps as k-step ticks, each holding the command tick(u_cmd) is given.
@@ -352,15 +341,14 @@ class WingSimulator:
         chunk.  The row after the last tick holds the final state.
 
         A tick writes the bank's u_eff straight into its row of the input
-        buffer, whose gust angles and white noise are filled about
-        GUST_CHUNK steps at a time from the same running sum and generator
-        that advance uses.  One product with the rows of post.tick(n) that
-        the log keeps, in their order, writes the next log row (46 of the
-        102 rows of a 15-step tick for the default twin with noise).  Each
-        row comes out bit for bit as in the full product: OpenBLAS's gemv
-        on x86-64 rounds a row alike wherever it sits except among the
-        last (rows mod 4), and both products end on the same rows.  A
-        last tick of r < k steps puts its last y_raw and y_filt after its
+        buffer, whose gust angles and white noise _next_inputs fills about
+        GUST_CHUNK steps at a time.  One product with the rows of
+        post.tick(n) that the log keeps, in their order, writes the next log
+        row (46 of the 102 rows of a 15-step tick for the default twin with
+        noise).  Each row comes out bit for bit as in the full product:
+        OpenBLAS's gemv on x86-64 rounds a row alike wherever it sits except
+        among the last (rows mod 4), and both products end on the same rows.
+        A last tick of r < k steps puts its last y_raw and y_filt after its
         r y_true rows.
         """
         log, fields = self._run_log(n, k)
@@ -403,9 +391,8 @@ class WingSimulator:
         block products (BlockMap.lifted) a chunk of about GUST_CHUNK steps
         at a time, evaluating only the log's output rows.  Each chunk
         commits its block-start states, and each block's outputs and last
-        gust angle into the row after it.  The white noise is drawn from the
-        same generator in the same order as advance draws it, and the time
-        grid and the gust angle are the same running sum.
+        gust angle, read off the chunk's input rows from _next_inputs, into
+        the row after it.
         """
         log, fields = self._run_log(n, k)
         u_eff = self.actuators.advance(np.zeros(self.actuators.m), 1)[0]
@@ -421,7 +408,7 @@ class WingSimulator:
             self.state = state
             log[b:b + len(S), :ns] = S
             log[b + 1:b + 1 + len(S), ns:ns + len(rows)] = Y
-            log[b + 1:b + 1 + steps // k, -1] = self._alpha[k - 1:steps:k]
+            log[b + 1:b + 1 + steps // k, -1] = U[k - 1:steps:k, m]
         fields["u_eff"][1:] = u_eff
         return fields
 
@@ -449,26 +436,21 @@ class WingSimulator:
                          y_true_plant=log[1:, ns:last].reshape(ticks, k, 2))
 
     def _next_inputs(self, steps, rows):
-        """Inputs of the next `steps` plant steps, one row per step and zero
-        rows up to `rows`: a new time chunk's gust angles and, with noise,
-        white noise drawn in advance's order; u_eff is left zero."""
+        """Inputs of the next `steps` plant steps, one row per step, and zero
+        rows up to `rows`: the gust angle at each step's start and, with
+        noise, the white noise in step order; u_eff is left zero.  The start
+        times are np.cumsum([t, dt, ..., dt]), a sequential running sum, so
+        bit for bit t += dt however the steps are split; t moves on to the
+        sum's last value."""
         m = self.actuators.m
-        self._next_chunk(steps)
+        times = np.cumsum(np.concatenate([[self.t], np.full(steps, self.dt)]))
+        self.t = times[-1]
         U = np.zeros((rows, self.post.Bd.shape[1]))
-        U[:steps, m] = self._alpha[:steps]
+        if self.gust is not None:
+            U[:steps, m] = gust_angle(self.gust, times[:-1])
         if self.noise is not None:
             U[:steps, m + 1:] = self.noise.rng.standard_normal((steps, self.noise.std.size))
-        self._k = steps
         return U
-
-    def _next_chunk(self, n):
-        """Times and gust angles of the next max(n, GUST_CHUNK) steps; np.cumsum
-        is a sequential running sum, so t is bit for bit that of t += dt."""
-        k = max(n, GUST_CHUNK)
-        self._times = np.cumsum(np.concatenate([[self.t], np.full(k, self.dt)]))
-        self._alpha = (gust_angle(self.gust, self._times[:k]) if self.gust is not None
-                       else np.zeros(k))
-        self._k = 0
 
 
 def _log_rows(k, p):

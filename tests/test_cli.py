@@ -71,6 +71,12 @@ def test_run_writes_csv_and_exits_zero(tmp_path):
     ("plant: {mode_damp: 211}\n", "RK4"),
     ("noise: {enabled: true, seed: -1}\n", "noise.seed"),
     ("lqg: {n_k: [0.0]}\n", "lqg.n_k"),
+    ("noise: {enabled: true, std: -1}\n", "noise.std"),
+    ("{controller: lqg, lqg: {r_weight: 0}}\n", "lqg.r_weight"),
+    ("{controller: lqg, lqg: {q_int_weight: -1}}\n", "lqg.q_int_weight"),
+    ("{controller: lqg, noise: {enabled: true}, lqg: {q_k: -1}}\n", "lqg.q_k"),
+    ("{controller: lqg, noise: {enabled: true}, lqg: {r_k: -1}}\n", "lqg.r_k"),
+    ("{controller: lqg, noise: {enabled: true, std: 0}}\n", "lqg.r_k"),
 ], ids=["unknown-key", "duration-not-a-number", "duration-negative", "noise-std-not-a-number",
         "q-above-servo-count", "duration-under-one-plant-step", "servo-count-not-twelve",
         "lag-filter-too-fast-for-tick", "servo-filter-too-fast-for-tick", "gust-frequency-zero",
@@ -82,7 +88,9 @@ def test_run_writes_csv_and_exits_zero(tmp_path):
         "fault-servo-out-of-range", "fault-scaled-entry-not-a-pair", "fault-scaled-not-a-list",
         "gust-dc-one-entry", "gust-dc-not-a-list", "mode-freqs-shorter-than-n-modes",
         "no-modes", "fy-gain-nan", "dc-split-zero", "half-span-zero",
-        "mode-too-stiff-for-rk4", "noise-seed-negative", "n-k-one-entry"])
+        "mode-too-stiff-for-rk4", "noise-seed-negative", "n-k-one-entry", "noise-std-negative",
+        "lqg-r-weight-zero", "lqg-q-int-weight-negative", "lqg-q-k-negative",
+        "lqg-r-k-negative", "lqg-zero-measurement-variance"])
 def test_bad_config_key_exits_one(tmp_path, body, field):
     path = tmp_path / "bad.yaml"
     path.write_text(body)
@@ -112,8 +120,10 @@ def test_design_failure_exits_two(tmp_path):
     assert result.exit_code == 2
 
 
-@pytest.mark.parametrize("body", ["plant: {dc_split: 2.2e-309}\n", "plant: {fy_gain: -2.1e200}\n"],
-                         ids=["invalid-value-in-plant-map", "overflow-in-compiled-qp"])
+@pytest.mark.parametrize("body", ["plant: {dc_split: 2.2e-309}\n", "plant: {fy_gain: -2.1e200}\n",
+                                  "{controller: lqg, noise: {enabled: true, std: 1e200}}\n"],
+                         ids=["invalid-value-in-plant-map", "overflow-in-compiled-qp",
+                              "overflow-in-noise-variance"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_floating_point_error_exits_two_with_one_line(tmp_path, body):
     # numpy's invalid-value and overflow warnings end the run as a divergence,

@@ -428,14 +428,22 @@ PLANT_FIELDS = {"x", "y_true", "y_raw", "y_filt", "alpha_g", "u_eff", "y_true_pl
 def test_ticked_and_lifted_runs_fill_one_log(cfg):
     # closed_loop under a zero command and coast hand over the same RunLog
     # fields of one run log: gust angles and deflections bit for bit, loads
-    # and modal states within 1e-11 of their peak
+    # and modal states within 1e-11 of their peak; both simulators end n
+    # steps on, at t += dt's running sum, with one noise generator state
     assert PLANT_FIELDS <= {f.name for f in fields(RunLog)}
     model = build_model(cfg)
     k, n = round(cfg.dt_ctrl / cfg.dt_plant), round(cfg.duration / cfg.dt_plant)
-    ticked, tick = build_simulator(cfg, model).closed_loop(n, k)
+    sims = build_simulator(cfg, model), build_simulator(cfg, model)
+    ticked, tick = sims[0].closed_loop(n, k)
     for _ in range(-(-n // k)):
         tick(np.zeros(cfg.plant.m))
-    lifted = build_simulator(cfg, model).coast(n, k)
+    lifted = sims[1].coast(n, k)
+    t = 0.0
+    for _ in range(n):
+        t += sims[0].dt
+    assert sims[0].t == sims[1].t == t
+    if cfg.noise.enabled:
+        assert sims[0].noise.rng.bit_generator.state == sims[1].noise.rng.bit_generator.state
     assert set(ticked) == set(lifted) == PLANT_FIELDS
     for name in PLANT_FIELDS:
         assert ticked[name].shape == lifted[name].shape, name

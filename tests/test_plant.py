@@ -325,9 +325,10 @@ class TestBlockSteps:
                 sim.advance(np.full(12, np.nan), 15)
 
     def test_time_and_gust_are_the_step_by_step_running_sum(self):
-        # 75 ticks and a short block outrun one GUST_CHUNK of plant steps;
-        # the time grid and the gust angle, evaluated a chunk at a time,
-        # are bit for bit those of t += dt one step at a time
+        # 75 ticks and a short block, more plant steps than one GUST_CHUNK;
+        # the time grid and the gust angle, which each advance takes from
+        # _next_inputs for its own block, are bit for bit those of t += dt
+        # one step at a time
         blocks = [15] * 75 + [7]
         assert sum(blocks) > GUST_CHUNK
         sim = chain()
