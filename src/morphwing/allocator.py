@@ -113,7 +113,8 @@ class ActiveSetQP:
             z = R[:, p] - R[:, W] @ r
             d = A[p] @ z
             steps = np.full(len(W) + 1, np.inf)
-            if d > _TIGHT * P[p, p]:
+            # with x.size rows in W a further row is dependent, whatever rounding makes d
+            if d > _TIGHT * P[p, p] and len(W) < x.size:
                 steps[0] = (A[p] @ x - b[p]) / d
             np.divide(lam, r, out=steps[1:], where=r > _TIGHT)
             j = int(np.argmin(steps))

@@ -127,21 +127,22 @@ class LqgController:
 
     With a KalmanDesign it observes y_raw and its estimate feeds the
     regulator; with kalman=None it observes the modal state x (the
-    idealized full-information case).  Commands are servo angles after the
-    shape mapping, clamped to the position limits.  Each step overwrites
-    u, u_v and saturated (a clamped tick) of its tick record last in place.
+    idealized full-information case).  A tick is one product, as in
+    IndiController, with a map built here from [x_hat; z_int; last
+    integrand; u_prev; obs; y_ref] to [x_hat'; z_int'; integrand; u_v; u]:
+    x_hat' is the Kalman filter's RK4 substeps over the tick (or obs), the
+    integrand C x_hat' + D u_prev - y_ref feeds the trapezoid integral
+    z_int, u_v = K_X [x_hat'; z_int'] + K_r [0; -y_ref] and u = Phi u_v.
+    Commands are clamped to the position limits.  Each step overwrites u,
+    u_v and saturated (a clamped tick) of its tick record last in place.
     """
 
     def __init__(self, lqr, design_model, Phi, limits, dt, kalman=None):
-        self.lqr = lqr
-        self.model = design_model
-        self.Phi = np.asarray(Phi, dtype=float)
-        self.limits = limits
-        self.dt = dt
-        self.kalman = kalman
         A, B, C, D = design_model.A, design_model.B, design_model.C, design_model.D
-        n, m, p = A.shape[0], self.Phi.shape[0], C.shape[0]
-        self.n_sub = 1
+        (m, q), (p, n) = np.shape(Phi), C.shape
+        sizes = [n, p, p, m, n if kalman is None else p, p]
+        x, z, w, u, y, r = np.split(np.eye(sum(sizes)), np.cumsum(sizes[:-1]))
+        x1, self.n_sub = y, 1
         if kalman is not None:
             # the estimator can be much faster than the controller tick, so
             # take enough RK4 substeps to keep fixed-step RK4 stable
@@ -153,35 +154,31 @@ class LqgController:
             # substep of the augmented system applied to the identity
             aug = np.zeros((n + m + p, n + m + p))
             aug[:n] = np.hstack([A - L @ C, B - L @ D, L])
-            sub = integrate_step(lambda z, _: aug @ z, np.eye(n + m + p), None, dt / self.n_sub)
-            self._estimator = np.linalg.matrix_power(sub, self.n_sub)[:n]
-        self.x_hat = np.zeros(n)
-        self.z_int = np.zeros(p)
-        self._prev_integrand = np.zeros(p)
+            sub = integrate_step(lambda v, _: aug @ v, np.eye(n + m + p), None, dt / self.n_sub)
+            x1 = np.linalg.matrix_power(sub, self.n_sub)[:n] @ np.vstack([x, u, y])
+        g = C @ x1 + D @ u - r
+        z1 = z + 0.5 * dt * (g + w)
+        u_v = lqr.K_X @ np.vstack([x1, z1]) - lqr.K_r[:, n:] @ r
+        self._T = np.vstack([x1, z1, g, u_v, np.asarray(Phi, dtype=float) @ u_v])
+        self._state, self._n = np.zeros(n + 2 * p), n   # x_hat, z_int, the last integrand
+        self.limits = limits
         self.u_prev = np.zeros(m)
         self.observes = "x" if kalman is None else "y_raw"
-        self.last = np.zeros((), tick_dtype(m, self.Phi.shape[1], p))
+        self.last = np.zeros((), tick_dtype(m, q, p))
+
+    @property
+    def x_hat(self):
+        """The state estimate: the observed state in the full-information case."""
+        return self._state[:self._n]
 
     def step(self, obs, y_ref):
         """One controller tick: the observed signal in, a new servo command out."""
-        y_ref = np.asarray(y_ref, dtype=float)
-        C, D = self.model.C, self.model.D
-        if self.kalman is None:
-            self.x_hat = np.array(obs, dtype=float)
-        else:
-            self.x_hat = self._estimator @ np.concatenate([self.x_hat, self.u_prev, obs])
-            if not np.all(np.isfinite(self.x_hat)):
-                raise NonFiniteState("estimator produced non-finite state")
-
-        integrand = C @ self.x_hat + D @ self.u_prev - y_ref
-        self.z_int = self.z_int + 0.5 * self.dt * (integrand + self._prev_integrand)
-        self._prev_integrand = integrand
-
-        X = np.concatenate([self.x_hat, self.z_int])
-        y_r_aug = np.concatenate([np.zeros(self.x_hat.size), -y_ref])
-        u_v = self.lqr.K_X @ X + self.lqr.K_r @ y_r_aug
-        u = self.Phi @ u_v
+        s, q = self._state.size, self.last["u_v"].size
+        r = self._T @ np.concatenate((self._state, self.u_prev, obs, y_ref))
+        if not np.all(np.isfinite(r[:s])):
+            raise NonFiniteState("estimator produced non-finite state")
+        self._state, u_v, u = r[:s], r[s:s + q], r[s + q:]
         u_clamped = np.clip(u, self.limits.u_min, self.limits.u_max)
-        self.last["u_v"], self.last["saturated"] = u_v, np.any(np.abs(u - u_clamped) > 0.0)
+        self.last["u_v"], self.last["saturated"] = u_v, np.any(u != u_clamped)
         self.u_prev = self.last["u"] = u_clamped
         return u_clamped

@@ -163,8 +163,8 @@ class ActuatorBank:
     the servo section are one linear map per channel with depth + 2
     states.  A block holds one command, so its map (built once per block
     length) takes [state; command] and returns every step's servo output
-    and the new state in one product.  instant=True (actuators.instant)
-    bypasses delay, lag and backlash: every step's output is the held
+    and the new state in one product.  instant=True (actuators.instant) makes
+    it the empty chain, without backlash: every step's output is the held
     command times the fault scales, in effect from the step it is issued.
     """
 
@@ -172,13 +172,12 @@ class ActuatorBank:
                  backlash_on=False, k1=1.0, k2=1.0, u_f_plus=0.6, u_f_minus=-0.6,
                  instant=False):
         self.m = m
-        self.instant = instant
-        self.depth = int(round(delay_s / dt))
+        self.depth = 0 if instant else int(round(delay_s / dt))
         self.filter = SecondOrderFilter(zeta, omega, dt, channels=m)
-        self.servo = BlockMap(*delay_chain(self.depth, [self.filter]))
+        self.servo = BlockMap(*delay_chain(self.depth, [] if instant else [self.filter]))
         # [delay registers, oldest first; servo states; command], one column per channel
-        self._xu = np.zeros((self.depth + 3, m))
-        self.backlash_on = backlash_on
+        self._xu = np.zeros((len(self.servo.Ad) + 1, m))
+        self.backlash_on = backlash_on and not instant
         self.k1, self.k2 = k1, k2
         self.u_f_plus, self.u_f_minus = u_f_plus, u_f_minus
         self.tau = np.zeros(m)
@@ -191,11 +190,8 @@ class ActuatorBank:
         """Effective deflections over n plant steps with u_cmd held, one row per
         step, written into out when it is given."""
         out = np.empty((n, self.m)) if out is None else out
-        u = np.asarray(u_cmd, dtype=float)
-        if self.instant:
-            return np.multiply(self.scales, u, out=out)
         xu, ns = self._xu, len(self._xu) - 1
-        xu[-1] = u
+        xu[-1] = u_cmd
         r = self.servo.tick(n, held=True) @ xu
         xu[:-1], v = r[:ns], r[ns:]
         if self.backlash_on:

@@ -539,3 +539,27 @@ def test_tight_limits_hold_on_every_tick(controller, binding_ticks):
     assert np.all(np.abs(np.diff(u, axis=1)) <= lim.u_adj + tol)
     assert int(log.sat_flags.sum()) == binding_ticks
     assert int(log.iterations.max()) < ActiveSetQP().max_iter
+
+
+def test_deep_saturation_keeps_the_working_set_within_the_unknowns(monkeypatch):
+    # a load reference far out of reach (1e5, no gust) pins qp-v's 5 shape
+    # coefficients against more limit rows than 5: a 6th working row would
+    # make the working set's matrix singular.  The run completes, no working
+    # set holds more rows than x has entries, and every tick meets its limits
+    cfg = harness.ScenarioConfig.from_dict({
+        "duration": 1.0, "command": {"level": 1e5}, "gust": {"a_g": 0}})
+    active = []
+
+    def keep(problem, *args, _alloc=indi.allocate_qp_virtual, **kwargs):
+        res = _alloc(problem, *args, **kwargs)
+        active.append(len(res.active_set))
+        return res
+    monkeypatch.setattr(indi, "allocate_qp_virtual", keep)
+    log, _ = harness.run_scenario(cfg, pair_open_loop=False)
+    assert len(active) == log.t.size and max(active) == cfg.q
+    lim, u, tol = harness.build_limits(cfg), log.u, 1e-9
+    du = np.diff(u, axis=0, prepend=np.zeros((1, u.shape[1])))
+    assert np.all(u <= lim.u_max + tol) and np.all(u >= lim.u_min - tol)
+    assert np.all(np.abs(du) <= lim.rate_max * lim.dt + tol)
+    assert np.all(np.abs(np.diff(u, axis=1)) <= lim.u_adj + tol)
+    assert int(log.sat_flags.sum()) > 0

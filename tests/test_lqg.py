@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from morphwing import harness
 from morphwing.constraints import InputLimits
 from morphwing.errors import NonFiniteState, NotDetectable
 from morphwing.harness import ScenarioConfig, build_model
+from morphwing.indi import tick_dtype
 from morphwing.lqg import (
     DesignModel,
     LqgController,
@@ -272,11 +274,51 @@ class TestController:
         assert np.all(np.abs(u) <= 0.01 + 1e-12)
 
 
+class StepByStepLqg:
+    """The LQG tick as step-by-step formulas, with LqgController's signature:
+    the estimator's RK4 substeps (or the true state), the trapezoid integral,
+    u_v = K_X [x; z] + K_r [0; -y_ref], u = Phi u_v, the clamp and its flag."""
+
+    def __init__(self, lqr, design_model, Phi, limits, dt, kalman=None):
+        self.lqr, self.dm, self.Phi, self.limits, self.dt, self.kalman = (
+            lqr, design_model, Phi, limits, dt, kalman)
+        (m, q), (p, n) = Phi.shape, design_model.C.shape
+        self.n_sub = 1
+        if kalman is not None:
+            lam = np.max(np.abs(np.linalg.eigvals(design_model.A - kalman.L @ design_model.C)))
+            self.n_sub = max(1, int(np.ceil(dt * float(lam) / 2.0)))
+        self.x_hat, self.u_prev = np.zeros(n), np.zeros(m)
+        self.z, self.prev = np.zeros(p), np.zeros(p)   # the integral and its last integrand
+        self.observes = "x" if kalman is None else "y_raw"
+        self.last = np.zeros((), tick_dtype(m, q, p))
+
+    def step(self, obs, y_ref):
+        A, B, C, D = self.dm.A, self.dm.B, self.dm.C, self.dm.D
+        u_prev = self.u_prev
+        if self.kalman is None:
+            self.x_hat = np.array(obs, dtype=float)
+        else:
+            def f(xh, _):
+                return A @ xh + B @ u_prev + self.kalman.L @ (obs - C @ xh - D @ u_prev)
+
+            for _ in range(self.n_sub):
+                self.x_hat = integrate_step(f, self.x_hat, None, self.dt / self.n_sub)
+        integrand = C @ self.x_hat + D @ u_prev - y_ref
+        self.z = self.z + 0.5 * self.dt * (integrand + self.prev)
+        self.prev = integrand
+        u_v = (self.lqr.K_X @ np.concatenate([self.x_hat, self.z])
+               + self.lqr.K_r @ np.concatenate([np.zeros(self.x_hat.size), -y_ref]))
+        u = self.Phi @ u_v
+        self.u_prev = np.clip(u, self.limits.u_min, self.limits.u_max)
+        self.last["u"], self.last["u_v"] = self.u_prev, u_v
+        self.last["saturated"] = np.any(u != self.u_prev)
+        return self.u_prev
+
+
 @pytest.mark.parametrize("kalman", [True, False])
 def test_tick_map_matches_step_by_step_formulas(kalman):
-    # the tick against the estimator's RK4 substeps (or the true state), the
-    # trapezoid integral, u_v = K_X [x; z] + K_r [0; -y_ref], u = Phi u_v, the
-    # clamp and its flag, tick by tick
+    # the tick against StepByStepLqg's formulas, tick by tick, on random
+    # observations and references that clamp some ticks
     model, basis = twin_and_basis()
     dm = perturb_model(model, rel=0.1, seed=3)
     lq = design_lqr(dm, basis.Phi)
@@ -285,32 +327,18 @@ def test_tick_map_matches_step_by_step_formulas(kalman):
                       rate_min=-80.0 * np.ones(12), rate_max=80.0 * np.ones(12),
                       u_adj=55.0 * np.ones(11), dt=0.015)
     ctrl = LqgController(lq, dm, basis.Phi, lim, 0.015, kalman=kd)
-    A, B, C, D = dm.A, dm.B, dm.C, dm.D
-    h = 0.015 / ctrl.n_sub
+    ref = StepByStepLqg(lq, dm, basis.Phi, lim, 0.015, kalman=kd)
+    assert ctrl.n_sub == ref.n_sub
     rng = np.random.default_rng(8)
-    x_hat, z, prev, u_prev = np.zeros(4), np.zeros(2), np.zeros(2), np.zeros(12)
     got, want, flags = [], [], []
     for k in range(60):
         y, y_ref = 20.0 * rng.standard_normal(2), 10.0 * rng.standard_normal(2)
         x_true = 0.1 * rng.standard_normal(4)
-        if kalman:
-            def f(xh, _):
-                return A @ xh + B @ u_prev + kd.L @ (y - C @ xh - D @ u_prev)
-
-            for _ in range(ctrl.n_sub):
-                x_hat = integrate_step(f, x_hat, None, h)
-        else:
-            x_hat = x_true
-        integrand = C @ x_hat + D @ u_prev - y_ref
-        z = z + 0.5 * 0.015 * (integrand + prev)
-        prev = integrand
-        u_v = lq.K_X @ np.concatenate([x_hat, z]) + lq.K_r @ np.concatenate([np.zeros(4), -y_ref])
-        u = basis.Phi @ u_v
-        u_prev = np.clip(u, -5.0, 5.0)
-        out = ctrl.step(y if kalman else x_true, y_ref)
+        obs = y if kalman else x_true
+        out, u = ctrl.step(obs, y_ref), ref.step(obs, y_ref)
         got.append(np.concatenate([ctrl.x_hat, ctrl.last["u_v"], out]))
-        want.append(np.concatenate([x_hat, u_v, u_prev]))
-        flags.append((bool(ctrl.last["saturated"]), bool(np.any(u != u_prev))))
+        want.append(np.concatenate([ref.x_hat, ref.last["u_v"], u]))
+        flags.append((bool(ctrl.last["saturated"]), bool(ref.last["saturated"])))
     got, want = np.array(got), np.array(want)
     for cols in (slice(0, 4), slice(4, 9), slice(9, 21)):
         err = np.max(np.abs(got[:, cols] - want[:, cols]))
@@ -320,3 +348,22 @@ def test_tick_map_matches_step_by_step_formulas(kalman):
     if kalman:
         with pytest.raises(NonFiniteState):
             ctrl.step(np.array([np.nan, 0.5]), y_ref)
+
+
+@pytest.mark.parametrize("kalman", [True, False], ids=["kalman-fy+35%-harsh", "full-information"])
+def test_closed_loop_run_matches_step_by_step_formulas(monkeypatch, kalman):
+    # a whole closed-loop run, its controller built as StepByStepLqg: the
+    # Kalman filter on fy+35% with noise, fault and backlash, and full
+    # information on the clean default scenario
+    if kalman:
+        cfg = harness.mla_config("fy+35%")
+        cfg.noise.enabled = cfg.fault.enabled = cfg.actuators.backlash = True
+    else:
+        cfg = ScenarioConfig()
+    cfg.controller = "lqg"
+    log, _ = harness.run_scenario(cfg, pair_open_loop=False)
+    monkeypatch.setattr(harness, "LqgController", StepByStepLqg)
+    want, _ = harness.run_scenario(cfg, pair_open_loop=False)
+    assert np.max(np.abs(log.u - want.u)) <= 1e-9
+    assert np.max(np.abs(log.u_v - want.u_v)) <= 1e-9
+    assert np.array_equal(log.sat_flags, want.sat_flags)
