@@ -9,7 +9,8 @@ under the compiled servo-limit inequality,
 with Phi = I in servo space, or over virtual-shape coefficients, which
 shrinks the decision space to q < m and keeps the spanwise profile smooth.
 The QP is compiled once; a dual active-set method, warm started between
-steps, runs only when its unconstrained optimum is infeasible.
+steps, runs only when its unconstrained optimum is infeasible, and forms
+each working set's factors once per compiled QP.
 """
 
 from dataclasses import dataclass, field
@@ -20,6 +21,10 @@ from .constraints import LinearInequality
 from .errors import DimensionMismatch
 
 _ITER_CAP = 50
+# working sets whose factors one CompiledQP keeps, all dropped at the cap: a
+# 25-s run pinned by a load reference out of reach meets about 2,300 (1 KB each
+# over 5 shape coefficients), a harsh run at most 5
+_FACTOR_CAP = 4096
 # a violation, pivot or multiplier rate below this share of its scale is rounding
 _TIGHT = 1e-12
 
@@ -77,31 +82,48 @@ class ActiveSetQP:
     >= 0 (Haerkegaard, CDC 2002).  iterations counts x0, the warm start and
     each step.  A capped iterate, still infeasible, is pulled back to the
     longest feasible step from x = 0.
+
+    A working set's factors P_WW^-1, A_W and R_W depend only on A, R, P and
+    the ordered W: a caller that solves on the same A, R and P passes one
+    factors dict across its solves, and each set's are formed once.  The
+    solver itself keeps nothing; without a dict they last one solve.
     """
 
     def __init__(self, max_iter=_ITER_CAP):
         self.max_iter = max_iter
 
-    def solve(self, A, b, R, P, x0, v, warm_start=()):
-        """(x, iterations, active set, status) from x0 and its violations v = A x0 - b."""
+    def solve(self, A, b, R, P, x0, v, warm_start=(), factors=None):
+        """(x, iterations, active set, status) from x0 and its violations v = A x0 - b.
+
+        factors maps (rows, ordered W) to (P_WW^-1, A_W, R_W) and rows to |A|,
+        filled here; it is emptied when it holds _FACTOR_CAP entries."""
+        factors = {} if factors is None else factors
+        n = b.size   # P[W][:, W] depends on W's order and, through A, R and P, on n
+
+        def factor(W):
+            return _cached(factors, (n, tuple(W)),
+                           lambda: (np.linalg.inv(P[W][:, W]), A[W], R[:, W]))
+
+        absA = _cached(factors, n, lambda: np.abs(A))
         W, x, lam, iterations, p = list(warm_start), x0, np.empty(0), 1, None
+        Pinv, A_W, R_W = factor(W)
         if W:
-            Pinv = np.linalg.inv(P[W][:, W])
             lam = Pinv @ v[W]
             if lam.min() >= 0.0:
-                x, iterations = x0 - R[:, W] @ lam, 2
+                x, iterations = x0 - R_W @ lam, 2
             else:
                 W, lam = [], np.empty(0)
+                Pinv, A_W, R_W = factor(W)
         while True:
             if W:   # one refinement puts the working rows back on their limits
-                c = Pinv @ (A[W] @ x - b[W])
-                x, lam = x - R[:, W] @ c, lam + c
+                c = Pinv @ (A_W @ x - b[W])
+                x, lam = x - R_W @ c, lam + c
             if p is None:
                 s = A @ x - b
                 s[W] = -np.inf
                 p = int(np.argmax(s))
                 # a violation within rounding of its scale (a working row's twin) holds
-                if s[p] <= _TIGHT * (np.abs(A[p]) @ np.abs(x) + abs(b[p])):
+                if s[p] <= _TIGHT * (absA[p] @ np.abs(x) + abs(b[p])):
                     return x, iterations, tuple(sorted(W)), "Optimal"
                 lam_p = 0.0
             if iterations >= self.max_iter:
@@ -109,8 +131,8 @@ class ActiveSetQP:
             iterations += 1
             # raising p's multiplier by t moves x by -t z and keeps the W rows
             # tight; steps[0] makes row p tight, steps[1 + i] zeroes lam[i]
-            r = Pinv @ P[W, p] if W else np.empty(0)
-            z = R[:, p] - R[:, W] @ r
+            r = Pinv @ P[W, p]
+            z = R[:, p] - R_W @ r
             d = A[p] @ z
             steps = np.full(len(W) + 1, np.inf)
             # with x.size rows in W a further row is dependent, whatever rounding makes d
@@ -128,12 +150,21 @@ class ActiveSetQP:
             else:
                 W.append(p)
                 lam, p = np.append(lam, lam_p), None
-            if W:
-                Pinv = np.linalg.inv(P[W][:, W])
+            Pinv, A_W, R_W = factor(W)
         Ax = A @ x
         over = Ax > b
         alpha = np.clip(np.min(b[over] / Ax[over], initial=1.0), 0.0, 1.0)
         return alpha * x, iterations, tuple(sorted(W)), "IterationCap"
+
+
+def _cached(factors, key, make):
+    """factors[key], made first if missing; a full factors dict is emptied first."""
+    f = factors.get(key)
+    if f is None:
+        if len(factors) >= _FACTOR_CAP:
+            factors.clear()
+        f = factors[key] = make()
+    return f
 
 
 _SOLVER = ActiveSetQP()   # it keeps no state between solves
@@ -147,7 +178,9 @@ class CompiledQP:
     H = (B Phi)' B Phi + sigma I.  H is positive definite, so x0 = M t,
     M = H^-1 (B Phi)', the unconstrained minimizer, is optimal if feasible.
     The dual solver runs on R = H^-1 (A Phi)' and P = A Phi R; the rate box
-    takes their last 2m columns and A Phi's and P's last 2m rows.
+    takes their last 2m columns and A Phi's and P's last 2m rows.  factors
+    keeps the solver's working-set factors for the QP's life, so each working
+    set's P_WW^-1, A_W and R_W are formed once per compiled QP.
     """
 
     def __init__(self, B_eff, sigma, A, Phi=None):
@@ -160,6 +193,7 @@ class CompiledQP:
         self.A = A if Phi is None else A @ Phi
         self.R = np.linalg.solve(self.H, self.A.T)
         self.P = self.A @ self.R
+        self.factors = {}
 
     def solve(self, problem, warm_start):
         """One tick's (x, iterations, active set, status); warm_start seeds the solver."""
@@ -169,7 +203,8 @@ class CompiledQP:
         Ax0 = A @ x0
         if (Ax0 <= b).all():   # exact: no tolerance accepts a violation
             return x0, 1, (), "Optimal"
-        return _SOLVER.solve(A, b, self.R[:, -n:], self.P[-n:, -n:], x0, Ax0 - b, warm_start)
+        return _SOLVER.solve(A, b, self.R[:, -n:], self.P[-n:, -n:], x0, Ax0 - b, warm_start,
+                             self.factors)
 
 
 def allocate_qp(problem, warm_start=(), compiled=None):

@@ -94,15 +94,19 @@ def assemble(limits, u0):
     exclude du = 0; that is surfaced as InfeasibleCurrentState.  A is the
     limits' shared read-only matrix; b = b0 + E u0 is built fresh on
     every call.  E holds only +/-1 and zeros, so b equals the row-by-row
-    u_max - u0, u0 - u_min, u_adj -/+ C u0 bit for bit.
+    u_max - u0, u0 - u_min, u_adj -/+ C u0 bit for bit: with every position
+    and relative row of b non-negative, u0 is within its bounds, clamping
+    it changes nothing and b is taken as first formed.
     """
-    u0 = np.minimum(np.maximum(u0, limits.u_min), limits.u_max)
     b = limits.b0 + limits.E @ u0
     m = limits.m
-    if b[2 * m:4 * m - 2].min() < -POSITION_SLACK:
-        raise InfeasibleCurrentState(
-            "current command violates a relative-position bound; du = 0 excluded"
-        )
+    if b[:4 * m - 2].min() < 0.0:
+        u0 = np.minimum(np.maximum(u0, limits.u_min), limits.u_max)
+        b = limits.b0 + limits.E @ u0
+        if b[2 * m:4 * m - 2].min() < -POSITION_SLACK:
+            raise InfeasibleCurrentState(
+                "current command violates a relative-position bound; du = 0 excluded"
+            )
     return LinearInequality(A=limits.A, b=b)
 
 

@@ -182,6 +182,7 @@ class ActuatorBank:
         self.u_f_plus, self.u_f_minus = u_f_plus, u_f_minus
         self.tau = np.zeros(m)
         self.scales = np.ones(m)
+        self.healthy = True   # every scale is 1.0; set by apply_fault, the scales' only writer
 
     def step(self, u_cmd):
         return self.advance(u_cmd, 1)[0]
@@ -199,7 +200,10 @@ class ActuatorBank:
             hi, lo = self.k2 * (v - self.u_f_plus), self.k1 * (v - self.u_f_minus)
             for row, up, down in zip(v, hi, lo):
                 self.tau = np.minimum(np.maximum(self.tau, up, out=row), down, out=row)
-        return np.multiply(self.scales, v, out=out)
+        if not self.healthy:
+            return np.multiply(self.scales, v, out=out)
+        out[...] = v   # unit scales: their product would be v bit for bit
+        return out
 
 
 def apply_fault(bank, failed=(8,), scaled=((7, 0.468), (9, 0.7348))):
@@ -213,6 +217,7 @@ def apply_fault(bank, failed=(8,), scaled=((7, 0.468), (9, 0.7348))):
         bank.scales[i] = 0.0
     for i, s in scaled:
         bank.scales[i] = s
+    bank.healthy = bool((bank.scales == 1.0).all())
     return bank
 
 

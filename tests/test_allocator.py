@@ -3,7 +3,7 @@ import pytest
 from scipy.linalg import cho_solve, solve_triangular
 from scipy.optimize import nnls
 
-from morphwing import harness, indi
+from morphwing import allocator, harness, indi
 from morphwing.allocator import (
     ActiveSetQP,
     AllocationProblem,
@@ -11,7 +11,7 @@ from morphwing.allocator import (
     allocate_qp,
     allocate_qp_virtual,
 )
-from morphwing.constraints import InputLimits, assemble, rate_box
+from morphwing.constraints import InputLimits, LinearInequality, assemble, rate_box
 from morphwing.numerics import pseudo_inverse
 from morphwing.shapes import build_basis
 
@@ -563,3 +563,80 @@ def test_deep_saturation_keeps_the_working_set_within_the_unknowns(monkeypatch):
     assert np.all(np.abs(du) <= lim.rate_max * lim.dt + tol)
     assert np.all(np.abs(np.diff(u, axis=1)) <= lim.u_adj + tol)
     assert int(log.sat_flags.sum()) > 0
+
+
+HARSH = {"duration": 20.0, "command": {"profile": "fy+35%", "t_start": 10.0, "rate": 2.0},
+         "gust": {"enabled": False}, "noise": {"enabled": True}, "fault": {"enabled": True},
+         "actuators": {"backlash": True}}
+DEEP = {"duration": 2.0, "command": {"level": 1e5}, "gust": {"a_g": 0}}
+
+
+def uncached_solve(qp, problem, warm_start):
+    """CompiledQP.solve with a solver that forms every factor afresh."""
+    b = problem.ineq.b
+    n = b.size
+    A, x0 = qp.A[-n:], qp.M @ problem.target
+    v = A @ x0 - b
+    if (v <= 0.0).all():
+        return x0, 1, (), "Optimal"
+    return ActiveSetQP().solve(A, b, qp.R[:, -n:], qp.P[-n:, -n:], x0, v, warm_start)
+
+
+@pytest.mark.parametrize("scenario, controller, cap, binding_ticks", [
+    (HARSH, "indi-qp-v", None, 108), (HARSH, "indi-qp", None, 116),
+    (DEEP, "indi-qp-v", None, 134), (DEEP, "indi-qp-v", 8, 134)],
+    ids=["harsh-qp-v", "harsh-qp", "deep-qp-v", "deep-qp-v-cap-8"])
+def test_cached_working_set_factors_change_no_solve(monkeypatch, scenario, controller, cap,
+                                                    binding_ticks):
+    # every solve of a run, on the factors its compiled QP kept, is bit for
+    # bit the solve that forms them afresh: x, iterations, active set and
+    # status.  The harsh runs meet a few working sets; the deep one (a load
+    # reference out of reach) meets hundreds, some in more than one order.
+    # At a cap of 8 the kept factors are dropped again and again; they never
+    # outgrow the cap
+    if cap is not None:
+        monkeypatch.setattr(allocator, "_FACTOR_CAP", cap)
+    solve, captured, sizes = CompiledQP.solve, [], []
+
+    def keep(qp, problem, warm_start):
+        res = solve(qp, problem, warm_start)
+        captured.append((qp, problem, warm_start, res))
+        sizes.append(len(qp.factors))
+        return res
+    monkeypatch.setattr(CompiledQP, "solve", keep)
+    cfg = harness.ScenarioConfig.from_dict({"controller": controller, **scenario})
+    log, _ = harness.run_scenario(cfg, pair_open_loop=False)
+    assert len(captured) == log.t.size and int(log.sat_flags.sum()) == binding_ticks
+    for k, (qp, problem, warm_start, res) in enumerate(captured):
+        ref = uncached_solve(qp, problem, warm_start)
+        assert res[0].tobytes() == ref[0].tobytes() and res[1:] == ref[1:], k
+    assert max(sizes) <= allocator._FACTOR_CAP
+    orders = [key[1] for key in captured[0][0].factors if isinstance(key, tuple)]
+    if cap is not None:
+        assert any(b < a for a, b in zip(sizes, sizes[1:]))
+    elif scenario is HARSH:   # the empty set and at most 5 others
+        assert 1 < len(orders) <= 6, orders
+    else:
+        assert len({tuple(sorted(W)) for W in orders}) < len(orders)
+
+
+def test_cached_factors_are_kept_per_row_count():
+    # the rate box's rows repeat the position rows, so on the controllers'
+    # limits a working set names the same rows on both.  On generic rows a
+    # trailing subset's indices name other rows: warm started there from the
+    # working set of all rows, a compiled solve still equals a fresh one
+    rng = np.random.default_rng(5)
+    B, A = rng.standard_normal((2, 4)), rng.standard_normal((12, 4))
+    qp, warmed = CompiledQP(B, 1e-3, A), 0
+    for k in range(60):
+        target, b = rng.uniform(-20.0, 20.0, 2), rng.uniform(0.1, 1.0, 12)
+        problem = AllocationProblem(B_eff=B, target=target, sigma=1e-3, u0=np.zeros(4),
+                                    ineq=LinearInequality(A, b))
+        active = qp.solve(problem, ())[2]
+        for n in (11, 9):
+            problem.ineq = LinearInequality(A[-n:], b[-n:])
+            warm = tuple(i for i in active if i < n)
+            res, ref = qp.solve(problem, warm), uncached_solve(qp, problem, warm)
+            assert res[0].tobytes() == ref[0].tobytes() and res[1:] == ref[1:], (k, n)
+            warmed += bool(warm)
+    assert warmed >= 20, warmed

@@ -152,6 +152,27 @@ class TestActuators:
         assert bank.scales[9] == pytest.approx(0.7348)
         assert np.all(bank.scales[[0, 1, 2, 3, 4, 5, 6, 10, 11]] == 1.0)
 
+    @pytest.mark.parametrize("backlash", [False, True])
+    def test_fault_applied_after_healthy_steps_takes_effect(self, backlash):
+        # a healthy bank skips its unit scales; a fault applied after it has
+        # run scales the next block, bit for bit the servo output times the scales
+        def bank():
+            return ActuatorBank(12, backlash_on=backlash)
+
+        u = np.linspace(2.0, 5.0, 12)   # beyond the 0.6 deg backlash
+        healthy, twin = bank(), bank()
+        first = healthy.advance(u, 200)   # past the delay and the backlash
+        assert np.array_equal(first, twin.advance(u, 200)) and np.all(first[-1] != 0.0)
+        apply_fault(healthy)
+        assert not healthy.healthy and twin.healthy
+        out = np.full((20, 12), np.nan)
+        faulted = healthy.advance(2.0 * u, 20, out=out)
+        assert faulted is out
+        expected = twin.advance(2.0 * u, 20)
+        assert np.array_equal(faulted, healthy.scales * expected)
+        assert np.all(faulted[:, 8] == 0.0) and np.any(expected[:, 8] != 0.0)
+        assert np.array_equal(faulted[:, 7], 0.468 * expected[:, 7])
+
     def test_backlash_path_shows_hysteresis(self):
         bank = ActuatorBank(2, dt=0.001, delay_s=0.0, backlash_on=True)
         up, down = [], []
