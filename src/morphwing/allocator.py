@@ -80,8 +80,8 @@ class ActiveSetQP:
     lowest index); a working row whose multiplier reaches zero leaves by a
     partial step.  A warm working set is taken if its multipliers are all
     >= 0 (Haerkegaard, CDC 2002).  iterations counts x0, the warm start and
-    each step.  A capped iterate, still infeasible, is pulled back to the
-    longest feasible step from x = 0.
+    each step, up to _ITER_CAP.  A capped iterate, still infeasible, is pulled
+    back to the longest feasible step from x = 0.
 
     A working set's factors P_WW^-1, A_W and R_W depend only on A, R, P and
     the ordered W: a caller that solves on the same A, R and P passes one
@@ -89,22 +89,22 @@ class ActiveSetQP:
     solver itself keeps nothing; without a dict they last one solve.
     """
 
-    def __init__(self, max_iter=_ITER_CAP):
-        self.max_iter = max_iter
-
     def solve(self, A, b, R, P, x0, v, warm_start=(), factors=None):
         """(x, iterations, active set, status) from x0 and its violations v = A x0 - b.
 
-        factors maps (rows, ordered W) to (P_WW^-1, A_W, R_W) and rows to |A|,
-        filled here; it is emptied when it holds _FACTOR_CAP entries."""
+        factors maps the ordered W to (P_WW^-1, A_W, R_W), filled here; it is
+        emptied when it holds _FACTOR_CAP sets."""
         factors = {} if factors is None else factors
-        n = b.size   # P[W][:, W] depends on W's order and, through A, R and P, on n
 
         def factor(W):
-            return _cached(factors, (n, tuple(W)),
-                           lambda: (np.linalg.inv(P[W][:, W]), A[W], R[:, W]))
+            key = tuple(W)
+            f = factors.get(key)
+            if f is None:
+                if len(factors) >= _FACTOR_CAP:
+                    factors.clear()
+                f = factors[key] = np.linalg.inv(P[W][:, W]), A[W], R[:, W]
+            return f
 
-        absA = _cached(factors, n, lambda: np.abs(A))
         W, x, lam, iterations, p = list(warm_start), x0, np.empty(0), 1, None
         Pinv, A_W, R_W = factor(W)
         if W:
@@ -123,10 +123,10 @@ class ActiveSetQP:
                 s[W] = -np.inf
                 p = int(np.argmax(s))
                 # a violation within rounding of its scale (a working row's twin) holds
-                if s[p] <= _TIGHT * (absA[p] @ np.abs(x) + abs(b[p])):
+                if s[p] <= _TIGHT * (np.abs(A[p]) @ np.abs(x) + abs(b[p])):
                     return x, iterations, tuple(sorted(W)), "Optimal"
                 lam_p = 0.0
-            if iterations >= self.max_iter:
+            if iterations >= _ITER_CAP:
                 break
             iterations += 1
             # raising p's multiplier by t moves x by -t z and keeps the W rows
@@ -157,16 +157,6 @@ class ActiveSetQP:
         return alpha * x, iterations, tuple(sorted(W)), "IterationCap"
 
 
-def _cached(factors, key, make):
-    """factors[key], made first if missing; a full factors dict is emptied first."""
-    f = factors.get(key)
-    if f is None:
-        if len(factors) >= _FACTOR_CAP:
-            factors.clear()
-        f = factors[key] = make()
-    return f
-
-
 _SOLVER = ActiveSetQP()   # it keeps no state between solves
 
 
@@ -177,10 +167,10 @@ class CompiledQP:
     space) the QP is min 0.5 x'Hx - t'(B Phi) x s.t. A Phi x <= b, with
     H = (B Phi)' B Phi + sigma I.  H is positive definite, so x0 = M t,
     M = H^-1 (B Phi)', the unconstrained minimizer, is optimal if feasible.
-    The dual solver runs on R = H^-1 (A Phi)' and P = A Phi R; the rate box
-    takes their last 2m columns and A Phi's and P's last 2m rows.  factors
-    keeps the solver's working-set factors for the QP's life, so each working
-    set's P_WW^-1, A_W and R_W are formed once per compiled QP.
+    The dual solver runs on R = H^-1 (A Phi)' and P = A Phi R, which hold for
+    the rows of A it was compiled with: each tick's b bounds those rows.
+    factors keeps the solver's working-set factors for the QP's life, so each
+    working set's P_WW^-1, A_W and R_W are formed once per compiled QP.
     """
 
     def __init__(self, B_eff, sigma, A, Phi=None):
@@ -197,14 +187,11 @@ class CompiledQP:
 
     def solve(self, problem, warm_start):
         """One tick's (x, iterations, active set, status); warm_start seeds the solver."""
-        b = problem.ineq.b
-        n = b.size   # all rows, or the rate box: the last 2m
-        A, x0 = self.A[-n:], self.M @ problem.target
-        Ax0 = A @ x0
+        b, x0 = problem.ineq.b, self.M @ problem.target
+        Ax0 = self.A @ x0
         if (Ax0 <= b).all():   # exact: no tolerance accepts a violation
             return x0, 1, (), "Optimal"
-        return _SOLVER.solve(A, b, self.R[:, -n:], self.P[-n:, -n:], x0, Ax0 - b, warm_start,
-                             self.factors)
+        return _SOLVER.solve(self.A, b, self.R, self.P, x0, Ax0 - b, warm_start, self.factors)
 
 
 def allocate_qp(problem, warm_start=(), compiled=None):

@@ -79,6 +79,18 @@ def _print_report(report):
                f"saturated ticks {report.saturation_count}")
 
 
+def _write_table(out, name, key, rows):
+    """Write out/name: a header of key and the metric names, then a line per
+    (key value, report) in rows with the report's metrics at full precision."""
+    path = Path(out) / name
+    path.parent.mkdir(parents=True, exist_ok=True)
+    lines = [",".join((key, *_METRIC_NAMES))]
+    lines += [",".join((k, *(repr(float(getattr(rep, n))) for n in _METRIC_NAMES)))
+              for k, rep in rows]
+    path.write_text("\n".join(lines) + "\n")
+    click.echo(f"table: {path}")
+
+
 @click.group()
 def main():
     """Morphing-wing load-alleviation scenario toolkit."""
@@ -120,17 +132,10 @@ def sweep(config, freqs, out, seed):
 
     def go():
         rows = frequency_sweep(cfg, freq_list)
-        out_dir = Path(out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        path = out_dir / "sweep.csv"
-        lines = ["f_g," + ",".join(_METRIC_NAMES)]
         for f, rep in rows:
-            vals = ",".join(repr(float(getattr(rep, n))) for n in _METRIC_NAMES)
-            lines.append(f"{repr(f)},{vals}")
             click.echo(f"f_g={f:g} Hz: " + "  ".join(
                 f"{n.split('red_')[1]}={getattr(rep, n):.2f}%" for n in _METRIC_NAMES))
-        path.write_text("\n".join(lines) + "\n")
-        click.echo(f"table: {path}")
+        _write_table(out, "sweep.csv", "f_g", [(repr(f), rep) for f, rep in rows])
     _guard(go)
 
 
@@ -147,17 +152,9 @@ def compare(config, controllers, out, seed):
 
     def go():
         reports = compare_controllers(cfg, names)
-        out_dir = Path(out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        path = out_dir / "compare.csv"
-        lines = ["controller," + ",".join(_METRIC_NAMES)]
         for name in names:
-            rep = reports[name]
-            lines.append(name + "," + ",".join(
-                repr(float(getattr(rep, n))) for n in _METRIC_NAMES))
-            _print_report(rep)
-        path.write_text("\n".join(lines) + "\n")
-        click.echo(f"table: {path}")
+            _print_report(reports[name])
+        _write_table(out, "compare.csv", "controller", [(name, reports[name]) for name in names])
     _guard(go)
 
 

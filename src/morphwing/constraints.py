@@ -111,5 +111,5 @@ def assemble(limits, u0):
 
 
 def rate_box(limits):
-    """Fallback inequality with only the rate rows (always feasible at 0)."""
+    """Fallback inequality of the rate rows alone, A's last 2m (always feasible at 0)."""
     return LinearInequality(A=limits.A[-2 * limits.m:], b=limits.b_rate)

@@ -149,24 +149,21 @@ class IndiController:
             u = np.minimum(np.maximum(r[n + 3 * p:], self.limits.u_min), self.limits.u_max)
             eps_ca = self.B_eff @ (u - self.u_prev) - target
         else:
-            # rate_box keeps only A's last 2m rows, so row indices do not carry
-            # across it: a rate-box solve starts cold and leaves no warm start
-            box = False
             try:
-                ineq = assemble(self.limits, self.u_prev)
+                ineq, qp, warm = assemble(self.limits, self.u_prev), self._qp, self._warm
             except InfeasibleCurrentState:
-                ineq, box = rate_box(self.limits), True
-            warm = () if box else self._warm
+                # the rate box has rows of its own: its QP is compiled on the tick,
+                # starts cold and leaves no warm start for the compiled one
+                ineq, qp, warm = rate_box(self.limits), None, ()
             problem = AllocationProblem(   # target copied: a view would keep all of r alive
                 B_eff=self.B_eff, target=target.copy(), sigma=self.sigma, u0=self.u_prev,
                 ineq=ineq)
             if self.mode == "qp-v":
-                res = allocate_qp_virtual(problem, self.basis.Phi, warm_start=warm,
-                                          compiled=self._qp)
+                res = allocate_qp_virtual(problem, self.basis.Phi, warm_start=warm, compiled=qp)
                 self.u_v = self.u_v + res.delta_u_virtual
             else:
-                res = allocate_qp(problem, warm_start=warm, compiled=self._qp)
-            self._warm = () if box else res.active_set
+                res = allocate_qp(problem, warm_start=warm, compiled=qp)
+            self._warm = () if qp is None else res.active_set
             u = self.u_prev + res.delta_u
             eps_ca = res.eps_ca
             self.last["iterations"], self.last["saturated"] = res.iterations, bool(res.active_set)

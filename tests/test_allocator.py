@@ -11,7 +11,7 @@ from morphwing.allocator import (
     allocate_qp,
     allocate_qp_virtual,
 )
-from morphwing.constraints import InputLimits, LinearInequality, assemble, rate_box
+from morphwing.constraints import InputLimits, assemble, rate_box
 from morphwing.numerics import pseudo_inverse
 from morphwing.shapes import build_basis
 
@@ -265,26 +265,29 @@ def test_most_violated_tie_adds_lowest_row():
     np.testing.assert_array_equal(x, [0.5, 0.0])
 
 
-def test_iteration_cap_returns_feasible():
+def test_iteration_cap_returns_feasible(monkeypatch):
     problem = make_problem(m=6, seed=90, target=[400.0, -350.0])
     assert allocate_qp(problem).iterations > 2
     H, g, A, b = direct_qp(problem, np.eye(6))
-    x, _, _, status = ActiveSetQP(max_iter=2).solve(*dual_qp(H, g, A, b))
+    monkeypatch.setattr(allocator, "_ITER_CAP", 2)
+    x, _, _, status = ActiveSetQP().solve(*dual_qp(H, g, A, b))
     assert status == "IterationCap"
     assert np.all(A @ x <= b + 1e-9)
 
 
-def test_iteration_cap_steps_back_to_the_longest_feasible_point():
+def test_iteration_cap_steps_back_to_the_longest_feasible_point(monkeypatch):
     # x0 = (4, 4) violates x0 <= 1 by 3 and x1 <= 2 by 2.  The first step
     # adds row 0 and reaches (1, 4); capped there, the solver returns the
     # longest feasible point of the segment from 0 to (1, 4): (0.5, 2)
     A, b = np.eye(2), np.array([1.0, 2.0])
     args = dual_qp(np.eye(2), np.array([-4.0, -4.0]), A, b)
-    x, iterations, active, status = ActiveSetQP(max_iter=2).solve(*args)
+    monkeypatch.setattr(allocator, "_ITER_CAP", 2)
+    x, iterations, active, status = ActiveSetQP().solve(*args)
     assert status == "IterationCap" and iterations == 2 and active == (0,)
     np.testing.assert_allclose(x, [0.5, 2.0], rtol=1e-15, atol=0.0)
     assert np.all(A @ x <= b)
-    x, iterations, active, status = ActiveSetQP(max_iter=3).solve(*args)
+    monkeypatch.setattr(allocator, "_ITER_CAP", 3)
+    x, iterations, active, status = ActiveSetQP().solve(*args)
     assert status == "Optimal" and iterations == 3 and active == (0, 1)
     np.testing.assert_allclose(x, [1.0, 2.0], rtol=1e-15, atol=0.0)
 
@@ -325,7 +328,7 @@ def test_identical_position_and_rate_rows_do_not_cycle():
             for Phi in (np.eye(12), basis.Phi):
                 res = allocate_qp_virtual(problem, Phi)
                 assert res.status == "Optimal", (seed, target)
-                assert 1 < res.iterations < ActiveSetQP().max_iter, (seed, target)
+                assert 1 < res.iterations < allocator._ITER_CAP, (seed, target)
                 assert not any(i in res.active_set and i + 46 in res.active_set
                                for i in range(12, 24)), (seed, target, res.active_set)
                 assert np.all(A @ res.delta_u <= b + 1e-9)
@@ -403,8 +406,8 @@ def test_weighted_form_read_off_the_problem_is_the_compiled_qp():
 def random_case(rng, k):
     """Case k of a stream of random problems: servo-space (even k) or
     virtual, on the full inequality or the rate box, every third without
-    a pull.  Returns (problem, its CompiledQP built from the full limit
-    matrix, Phi, virtual, box, pull: a servo-space increment or None)."""
+    a pull.  Returns (problem, its CompiledQP built from the problem's own
+    rows, Phi, virtual, box, pull: a servo-space increment or None)."""
     virtual, box = k % 2, (k // 2) % 2
     m = 12 if virtual else int(rng.integers(2, 8))
     Phi = build_basis(LOCS12, 1.8, int(rng.integers(2, 7))).Phi if virtual else np.eye(m)
@@ -415,17 +418,17 @@ def random_case(rng, k):
         target=rng.uniform(-1.0, 1.0, size=2) * 10.0 ** rng.uniform(-2.0, 2.5),
         u0=u0, dt=float(rng.uniform(0.005, 0.03)),
     )
-    compiled = CompiledQP(problem.B_eff, problem.sigma, problem.ineq.A, Phi if virtual else None)
     if box:
         problem.ineq = rate_box(InputLimits(
             u_min=-30.0 * np.ones(m), u_max=30.0 * np.ones(m), rate_min=-80.0 * np.ones(m),
             rate_max=80.0 * np.ones(m), u_adj=10.0 * np.ones(m - 1), dt=0.015))
+    compiled = CompiledQP(problem.B_eff, problem.sigma, problem.ineq.A, Phi if virtual else None)
     return problem, compiled, Phi, virtual, box, pull
 
 
 def test_compiled_solve_matches_cold_active_set_and_nnls():
-    # random servo-space and virtual problems, compiled once from the full
-    # limit matrix, on the full inequality and on the rate box.  The compiled
+    # random servo-space and virtual problems, on the full inequality and on
+    # the rate box, each compiled from the rows it is solved on.  The compiled
     # QP equals the one formed directly; its solve (one product on a
     # non-binding tick) equals the refined NNLS optimum of that QP within
     # 1e-9: the KKT point of the rows NNLS holds active, solved cold.  NNLS's
@@ -438,7 +441,7 @@ def test_compiled_solve_matches_cold_active_set_and_nnls():
         problem, compiled, Phi, virtual, box, pull = random_case(rng, k)
         H, g, A, b = direct_qp(problem, Phi)
         np.testing.assert_allclose(compiled.H, H, rtol=1e-14, atol=0.0)
-        np.testing.assert_allclose(compiled.A[-b.size:], A, rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(compiled.A, A, rtol=0.0, atol=1e-14)
 
         if pull is not None:
             g = pulled(g, problem, Phi, pull)
@@ -475,10 +478,9 @@ def test_badly_scaled_vertex_reaches_the_optimum():
         problem, _, Phi, _, _, pull = random_case(rng, k)
     H, g, A, b = direct_qp(problem, Phi)
     g = pulled(g, problem, Phi, pull)
-    solver = ActiveSetQP()
-    x, iterations, active, status = solver.solve(*dual_qp(H, g, A, b))
+    x, iterations, active, status = ActiveSetQP().solve(*dual_qp(H, g, A, b))
     assert status == "Optimal"
-    assert 1 < iterations < solver.max_iter
+    assert 1 < iterations < allocator._ITER_CAP
     assert len(active) == 5
     assert np.all(A @ x <= b + 1e-9)
     x_nnls = least_distance_solve(H, g, A, b)
@@ -538,7 +540,7 @@ def test_tight_limits_hold_on_every_tick(controller, binding_ticks):
     assert np.all(du >= lim.rate_min * lim.dt - tol)
     assert np.all(np.abs(np.diff(u, axis=1)) <= lim.u_adj + tol)
     assert int(log.sat_flags.sum()) == binding_ticks
-    assert int(log.iterations.max()) < ActiveSetQP().max_iter
+    assert int(log.iterations.max()) < allocator._ITER_CAP
 
 
 def test_deep_saturation_keeps_the_working_set_within_the_unknowns(monkeypatch):
@@ -573,13 +575,11 @@ DEEP = {"duration": 2.0, "command": {"level": 1e5}, "gust": {"a_g": 0}}
 
 def uncached_solve(qp, problem, warm_start):
     """CompiledQP.solve with a solver that forms every factor afresh."""
-    b = problem.ineq.b
-    n = b.size
-    A, x0 = qp.A[-n:], qp.M @ problem.target
-    v = A @ x0 - b
+    b, x0 = problem.ineq.b, qp.M @ problem.target
+    v = qp.A @ x0 - b
     if (v <= 0.0).all():
         return x0, 1, (), "Optimal"
-    return ActiveSetQP().solve(A, b, qp.R[:, -n:], qp.P[-n:, -n:], x0, v, warm_start)
+    return ActiveSetQP().solve(qp.A, b, qp.R, qp.P, x0, v, warm_start)
 
 
 @pytest.mark.parametrize("scenario, controller, cap, binding_ticks", [
@@ -611,7 +611,7 @@ def test_cached_working_set_factors_change_no_solve(monkeypatch, scenario, contr
         ref = uncached_solve(qp, problem, warm_start)
         assert res[0].tobytes() == ref[0].tobytes() and res[1:] == ref[1:], k
     assert max(sizes) <= allocator._FACTOR_CAP
-    orders = [key[1] for key in captured[0][0].factors if isinstance(key, tuple)]
+    orders = list(captured[0][0].factors)   # each kept working set, in its order
     if cap is not None:
         assert any(b < a for a, b in zip(sizes, sizes[1:]))
     elif scenario is HARSH:   # the empty set and at most 5 others
@@ -620,23 +620,46 @@ def test_cached_working_set_factors_change_no_solve(monkeypatch, scenario, contr
         assert len({tuple(sorted(W)) for W in orders}) < len(orders)
 
 
-def test_cached_factors_are_kept_per_row_count():
-    # the rate box's rows repeat the position rows, so on the controllers'
-    # limits a working set names the same rows on both.  On generic rows a
-    # trailing subset's indices name other rows: warm started there from the
-    # working set of all rows, a compiled solve still equals a fresh one
-    rng = np.random.default_rng(5)
-    B, A = rng.standard_normal((2, 4)), rng.standard_normal((12, 4))
-    qp, warmed = CompiledQP(B, 1e-3, A), 0
-    for k in range(60):
-        target, b = rng.uniform(-20.0, 20.0, 2), rng.uniform(0.1, 1.0, 12)
-        problem = AllocationProblem(B_eff=B, target=target, sigma=1e-3, u0=np.zeros(4),
-                                    ineq=LinearInequality(A, b))
-        active = qp.solve(problem, ())[2]
-        for n in (11, 9):
-            problem.ineq = LinearInequality(A[-n:], b[-n:])
-            warm = tuple(i for i in active if i < n)
-            res, ref = qp.solve(problem, warm), uncached_solve(qp, problem, warm)
-            assert res[0].tobytes() == ref[0].tobytes() and res[1:] == ref[1:], (k, n)
-            warmed += bool(warm)
-    assert warmed >= 20, warmed
+@pytest.mark.parametrize("mode", ["qp-v", "qp"])
+def test_rate_box_fallback_compiles_its_own_qp(monkeypatch, mode):
+    # a huge reference binds the controller's compiled QP; then a relative
+    # bound broken by 20 deg puts it on the rate box for several ticks.  Each
+    # fallback tick starts cold, binds and reaches the NNLS optimum of the
+    # rate-box QP within 1e-9, and leaves the compiled QP's kept factors as
+    # they were.  The tick after the last fallback starts cold
+    row = 2.8 * (1.0 - 0.1 * (LOCS12 / 1.8 - 0.5))
+    B = np.vstack([row, row * LOCS12])
+    lim = InputLimits(u_min=-30.0 * np.ones(12), u_max=30.0 * np.ones(12),
+                      rate_min=-80.0 * np.ones(12), rate_max=80.0 * np.ones(12),
+                      u_adj=np.array([55.0 if i % 2 == 0 else 10.0 for i in range(11)]),
+                      dt=0.015)
+    basis = build_basis(LOCS12, 1.8, 5)
+    Phi = basis.Phi if mode == "qp-v" else np.eye(12)
+    ctrl = indi.IndiController(B, np.diag([0.1, 0.1]), lim, 0.015, mode=mode, basis=basis,
+                               lag_model=None)
+    calls = []
+    for name in ("allocate_qp", "allocate_qp_virtual"):
+        def keep(problem, *args, _alloc=getattr(indi, name), **kwargs):
+            res = _alloc(problem, *args, **kwargs)
+            calls.append((problem, kwargs["warm_start"], res))
+            return res
+        monkeypatch.setattr(indi, name, keep)
+    y_ref, box = np.array([5000.0, 0.0]), rate_box(lim)
+    ctrl.step(np.zeros(2), y_ref)
+    assert calls[-1][2].active_set
+    kept = dict(ctrl._qp.factors)
+    ctrl.u_prev = ctrl.u_prev.copy()
+    ctrl.u_prev[1] += 20.0   # pair (1, 2) now breaks its 10-deg relative bound
+    for _ in range(4):
+        ctrl.step(np.zeros(2), y_ref)
+        problem, warm_start, res = calls[-1]
+        assert np.array_equal(problem.ineq.A, box.A) and np.array_equal(problem.ineq.b, box.b)
+        assert warm_start == () and res.active_set and res.status == "Optimal"
+        x = least_distance_solve(*direct_qp(problem, Phi))
+        assert np.max(np.abs(Phi @ x - res.delta_u)) <= 1e-9
+    assert ctrl._qp.factors.keys() == kept.keys()
+    assert all(ctrl._qp.factors[W] is f for W, f in kept.items())
+    ctrl.u_prev = np.zeros(12)
+    ctrl.step(np.zeros(2), y_ref)
+    problem, warm_start, res = calls[-1]
+    assert problem.ineq.b.size == lim.A.shape[0] and warm_start == () and res.active_set

@@ -200,6 +200,19 @@ def test_compare_writes_table(tmp_path):
     assert "indi-qp-v" in text
 
 
+def test_sweep_writes_table(tmp_path):
+    # a header, then one line of four reductions per frequency, in the order given
+    cfg_path = write_cfg(tmp_path / "s.yaml")
+    result = CliRunner().invoke(
+        main, ["sweep", cfg_path, "--freqs", "0.5,1.5,3", "--out", str(tmp_path)])
+    assert result.exit_code == 0, result.output
+    lines = (tmp_path / "sweep.csv").read_text().splitlines()
+    assert lines[0] == "f_g,red_max_fy,red_rms_fy,red_max_mx,red_rms_mx"
+    assert [line.split(",")[0] for line in lines[1:]] == ["0.5", "1.5", "3.0"]
+    assert all(np.isfinite([float(v) for v in line.split(",")]).all() and line.count(",") == 4
+               for line in lines[1:])
+
+
 def test_certify_reports_bounds(tmp_path):
     cfg_path = write_cfg(tmp_path / "s.yaml", ScenarioConfig(duration=2.0))
     result = CliRunner().invoke(main, ["certify", cfg_path])
