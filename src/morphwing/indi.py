@@ -123,14 +123,22 @@ class IndiController:
         if mode == "pi":
             rows.append(u + pseudo_inverse(self.B_eff) @ target)
         self._T = np.vstack(rows)
-        self._state = np.zeros(n)   # e, then the lag state: one column per load, row by row
         self.u_prev = np.zeros(m)
-        self.u_v = np.zeros(0 if basis is None else basis.q)   # the sum of "qp-v" increments
         self._warm = ()
         self.observes = "y_filt"
-        self.last = np.zeros((), tick_dtype(m, self.u_v.size, p))
-        # its float fields as one vector, written by one call a tick
-        self._floats = np.frombuffer(self.last, float, m + self.u_v.size + 4 * p)
+        q = 0 if basis is None else basis.q
+        self.last = np.zeros((), tick_dtype(m, q, p))
+        # views built once: of the map's input z, of its output r, and of the record's
+        # fields.  _state is e, then the lag state: one column per load, row by row;
+        # u_v, the record's own field, sums the "qp-v" increments
+        self._z, self._r = np.zeros(self._T.shape[1]), np.empty(len(self._T))
+        self._state, self._z_u, self._z_y, self._z_r = np.split(self._z, np.cumsum([n, m, p]))
+        self._e = self._state[:p]
+        self._r_state, self._r_loads, self._target, self._r_u = np.split(
+            self._r, np.cumsum([n, 2 * p, p]))
+        self._rec_u, self.u_v, self._rec_loads, self._rec_eps, self._rec_e = np.split(
+            np.frombuffer(self.last, float, m + q + 4 * p), np.cumsum([m, q, 2 * p, p]))
+        self._rec_iterations, self._rec_saturated = self.last["iterations"], self.last["saturated"]
 
     def step(self, y_meas, y_ref):
         """One controller tick: measured loads in, total command out.
@@ -140,14 +148,14 @@ class IndiController:
         reference, so they enter the pseudo-control directly).  The tick
         goes into last until the next step; the command is a new array.
         """
-        n, p = self._state.size, self.K.shape[0]
-        r = self._T @ np.concatenate((self._state, self.u_prev, y_meas, y_ref))
-        self._state = r[:n]
-        target = r[n + 2 * p:n + 3 * p]
+        self._z_u[...], self._z_y[...], self._z_r[...] = self.u_prev, y_meas, y_ref
+        np.dot(self._T, self._z, out=self._r)   # the gemv of @, with less dispatch
+        self._state[...] = self._r_state
+        target = self._target
 
         if self.mode == "pi":
-            u = np.minimum(np.maximum(r[n + 3 * p:], self.limits.u_min), self.limits.u_max)
-            eps_ca = self.B_eff @ (u - self.u_prev) - target
+            u = np.minimum(np.maximum(self._r_u, self.limits.u_min), self.limits.u_max)
+            np.subtract(self.B_eff @ (u - self.u_prev), target, out=self._rec_eps)
         else:
             try:
                 ineq, qp, warm = assemble(self.limits, self.u_prev), self._qp, self._warm
@@ -155,21 +163,21 @@ class IndiController:
                 # the rate box has rows of its own: its QP is compiled on the tick,
                 # starts cold and leaves no warm start for the compiled one
                 ineq, qp, warm = rate_box(self.limits), None, ()
-            problem = AllocationProblem(   # target copied: a view would keep all of r alive
+            problem = AllocationProblem(   # target copied: the next tick overwrites r
                 B_eff=self.B_eff, target=target.copy(), sigma=self.sigma, u0=self.u_prev,
                 ineq=ineq)
             if self.mode == "qp-v":
                 res = allocate_qp_virtual(problem, self.basis.Phi, warm_start=warm, compiled=qp)
-                self.u_v = self.u_v + res.delta_u_virtual
+                self.u_v += res.delta_u_virtual
             else:
                 res = allocate_qp(problem, warm_start=warm, compiled=qp)
             self._warm = () if qp is None else res.active_set
             u = self.u_prev + res.delta_u
-            eps_ca = res.eps_ca
-            self.last["iterations"], self.last["saturated"] = res.iterations, bool(res.active_set)
+            self._rec_eps[...] = res.eps_ca
+            self._rec_iterations[()], self._rec_saturated[()] = res.iterations, bool(res.active_set)
 
-        self.u_prev = u
-        np.concatenate((u, self.u_v, r[n:n + 2 * p], eps_ca, r[:p]), out=self._floats)
+        self.u_prev = self._rec_u[...] = u
+        self._rec_loads[...], self._rec_e[...] = self._r_loads, self._e
         return u
 
 

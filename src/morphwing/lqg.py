@@ -174,11 +174,11 @@ class LqgController:
     def step(self, obs, y_ref):
         """One controller tick: the observed signal in, a new servo command out."""
         s, q = self._state.size, self.last["u_v"].size
-        r = self._T @ np.concatenate((self._state, self.u_prev, obs, y_ref))
-        if not np.isfinite(r[:s]).all():
+        r = np.dot(self._T, np.concatenate((self._state, self.u_prev, obs, y_ref)))
+        if not np.logical_and.reduce(np.isfinite(r[:s])):
             raise NonFiniteState("estimator produced non-finite state")
         self._state, u_v, u = r[:s], r[s:s + q], r[s + q:]
         u_clamped = np.minimum(np.maximum(u, self.limits.u_min), self.limits.u_max)
-        self.last["u_v"], self.last["saturated"] = u_v, (u != u_clamped).any()
+        self.last["u_v"], self.last["saturated"] = u_v, np.logical_or.reduce(u != u_clamped)
         self.u_prev = self.last["u"] = u_clamped
         return u_clamped

@@ -185,9 +185,10 @@ class BlockMap:
         F = (W @ M[:ns, ns:].T).reshape(N, c, ns)
         S = np.empty((N + 1, c, ns))
         S[0] = x0.reshape(ns, c).T
-        At = M[:ns, :ns].T
-        for j in range(N):
-            np.add(S[j] @ At, F[j], out=S[j + 1])
+        At, starts = M[:ns, :ns].T, list(S)   # the block starts' views, built once
+        for s, s1, f in zip(starts, starts[1:], F):
+            np.matmul(s, At, out=s1)
+            s1 += f
         CD = M[ns:] if rows is None else M[ns:][rows]
         Y = S[:N].reshape(N * c, ns) @ CD[:, :ns].T + W @ CD[:, ns:].T
         r = n - (N - 1) * k

@@ -126,18 +126,6 @@ def synthesize_wing_model(m=12, n_modes=2, locations=None, half_span=1.8,
     return WingModel(A=A, B=B, B_g=B_g, C=C, D=D, B_static=B_static, locations=locations)
 
 
-def backlash_step(tau, u, k1, k2, u_f_plus, u_f_minus):
-    """One sample of the velocity-driven backlash law.
-
-    The output rides the upper engagement line k2 (u - u_f+) while the
-    drive pushes up, the lower line k1 (u - u_f-) while it pushes down,
-    and holds in between.  For a monotone move within a sample this
-    clip-based update is exact.
-    """
-    return np.minimum(np.maximum(tau, k2 * (np.asarray(u, dtype=float) - u_f_plus)),
-                      k1 * (np.asarray(u, dtype=float) - u_f_minus))
-
-
 @dataclass
 class GustProfile:
     A_g: float
@@ -177,6 +165,7 @@ class ActuatorBank:
         self.servo = BlockMap(*delay_chain(self.depth, [] if instant else [self.filter]))
         # [delay registers, oldest first; servo states; command], one column per channel
         self._xu = np.zeros((len(self.servo.Ad) + 1, m))
+        self._x, self._u = self._xu[:-1], self._xu[-1]
         self.backlash_on = backlash_on and not instant
         self.k1, self.k2 = k1, k2
         self.u_f_plus, self.u_f_minus = u_f_plus, u_f_minus
@@ -191,12 +180,13 @@ class ActuatorBank:
         """Effective deflections over n plant steps with u_cmd held, one row per
         step, written into out when it is given."""
         out = np.empty((n, self.m)) if out is None else out
-        xu, ns = self._xu, len(self._xu) - 1
-        xu[-1] = u_cmd
-        r = self.servo.tick(n, held=True) @ xu
-        xu[:-1], v = r[:ns], r[ns:]
+        self._u[...] = u_cmd
+        r, ns = np.dot(self.servo.tick(n, held=True), self._xu), len(self._x)
+        self._x[...], v = r[:ns], r[ns:]
         if self.backlash_on:
-            # backlash_step row by row, its engagement lines taken for the whole block
+            # backlash row by row: tau rides the upper engagement line k2 (v - u_f+)
+            # up, the lower one k1 (v - u_f-) down, and holds in between; the lines
+            # are taken for the whole block at once
             hi, lo = self.k2 * (v - self.u_f_plus), self.k1 * (v - self.u_f_minus)
             for row, up, down in zip(v, hi, lo):
                 self.tau = np.minimum(np.maximum(self.tau, up, out=row), down, out=row)
@@ -359,26 +349,33 @@ class WingSimulator:
         chunk = max(1, round(GUST_CHUNK / k))
         xu = np.empty((chunk, ns + k * nv))
         U = xu[:, ns:].reshape(chunk, k, nv)
+        # views built once: each input row's u_eff rows, state and whole row, and the
+        # log's states and the rows a k-step tick writes
+        slots = [(U[j, :, :m], xu[j, :ns], xu[j]) for j in range(chunk)]
+        states, outs, full = log[:, :ns], log[:, :ns + 2 * k + p - 2], n // k
         t = 0
 
         def tick(u_cmd):
             nonlocal t
-            j, r = t % chunk, min(k, n - t * k)
+            j = t % chunk
             if j == 0:
                 steps = min(chunk * k, n - t * k)
                 xu[:, ns:] = self._next_inputs(steps, chunk * k).reshape(chunk, -1)
-            self.actuators.advance(u_cmd, r, out=U[j, :r, :m])
-            xu[j, :ns] = log[t, :ns]
-            out = log[t + 1]
-            np.matmul(kept[r], xu[j, :ns + r * nv], out=out[:ns + 2 * r + p - 2])
-            if not np.isfinite(out[:ns]).all():
-                raise NonFiniteState("plant block produced non-finite state")
+            (u_eff, x, z), r, out = slots[j], k, outs[t + 1]
+            if t == full:   # a last tick of r < k steps
+                r = n - t * k
+                u_eff, z, out = u_eff[:r], z[:ns + r * nv], out[:ns + 2 * r + p - 2]
+            self.actuators.advance(u_cmd, r, out=u_eff)
+            x[...] = states[t]
+            np.dot(kept[r], z, out=out)
             t += 1
+            if not np.logical_and.reduce(np.isfinite(states[t])):
+                raise NonFiniteState("plant block produced non-finite state")
             if t % chunk == 0 or t == ticks:
                 # the chunk's last u_eff and gust angle of each tick, before a refill
                 log[t - j:t + 1, -1 - m:] = U[:j + 1, k - 1, :m + 1]
             if t == ticks:
-                self.state = out[:ns].copy()
+                self.state = states[t].copy()
 
         return fields, tick
 

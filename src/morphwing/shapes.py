@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadDimension, DimensionMismatch, RankLoss
+from .errors import BadDimension, RankLoss
 
 
 def chebyshev_eval(x, q):
@@ -63,11 +63,3 @@ def build_basis(servo_locations, half_span, q):
     if np.linalg.matrix_rank(Phi, tol=1e-10) < q:
         raise RankLoss(f"basis matrix rank below {q} at the given locations")
     return ShapeBasis(q=q, xs_norm=xs_norm, Phi=Phi)
-
-
-def to_servo_space(basis, u_v):
-    """Map a virtual command (length q) to servo commands (length m)."""
-    u_v = np.asarray(u_v, dtype=float)
-    if u_v.shape != (basis.q,):
-        raise DimensionMismatch(f"expected length-{basis.q} virtual command, got shape {u_v.shape}")
-    return basis.Phi @ u_v

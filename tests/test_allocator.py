@@ -12,6 +12,7 @@ from morphwing.allocator import (
     allocate_qp_virtual,
 )
 from morphwing.constraints import InputLimits, assemble, rate_box
+from morphwing.errors import DimensionMismatch
 from morphwing.numerics import pseudo_inverse
 from morphwing.shapes import build_basis
 
@@ -375,6 +376,28 @@ def test_compiled_feasibility_check_is_exact():
     res = allocate_qp(problem, compiled=compiled)
     assert res.active_set and res.iterations > 1
     assert np.all(problem.ineq.A @ res.delta_u <= problem.ineq.b)
+
+def test_problem_converts_what_is_not_a_float_array_and_checks_lengths():
+    # float arrays are taken as they are; lists, int and float32 arrays and a
+    # one-row B are converted to float arrays, and solve alike.  A target
+    # whose length is not B's row count is refused, converted or not
+    ineq, u0 = make_problem().ineq, np.zeros(4)
+    B, t = np.array([[1.0, 2.0, 3.0, 4.0], [0.5, 0.5, 0.5, 0.5]]), np.array([1.0, -1.0])
+    kept = AllocationProblem(B_eff=B, target=t, sigma=1e-3, u0=u0, ineq=ineq)
+    assert kept.B_eff is B and kept.target is t and kept.u0 is u0
+    for B_in, t_in, u0_in in ((B.tolist(), [1, -1], [0, 0, 0, 0]),
+                              (B.astype(np.float32), t.astype(int), u0.astype(np.float32))):
+        made = AllocationProblem(B_eff=B_in, target=t_in, sigma=1e-3, u0=u0_in, ineq=ineq)
+        for got, want in ((made.B_eff, B), (made.target, t), (made.u0, u0)):
+            assert type(got) is np.ndarray and got.dtype == np.float64
+            assert np.array_equal(got, want)
+        assert allocate_qp(made).delta_u.tobytes() == allocate_qp(kept).delta_u.tobytes()
+    row = AllocationProblem(B_eff=[1, 2, 3, 4], target=[2.0], sigma=1e-3, u0=u0, ineq=ineq)
+    assert row.B_eff.shape == (1, 4) and row.B_eff.dtype == np.float64
+    for B_in, t_in in ((B, np.ones(3)), (B.tolist(), [1.0, 2.0, 3.0]), ([1.0] * 4, t)):
+        with pytest.raises(DimensionMismatch):
+            AllocationProblem(B_eff=B_in, target=t_in, sigma=1e-3, u0=u0, ineq=ineq)
+
 
 def test_weighted_form_read_off_the_problem_is_the_compiled_qp():
     # H and g formed from the problem's W1, W2, u_star and u0 as the

@@ -338,6 +338,43 @@ class TestControllerStep:
         assert np.all(np.abs(u_next - u) <= 80.0 * 0.015 + 1e-9)
 
 
+@pytest.mark.parametrize("mode", ["qp-v", "qp", "pi"])
+def test_assigned_u_prev_is_the_next_ticks_command(monkeypatch, mode):
+    # the tick map's input vector is built once: a u_prev assigned between two
+    # steps is the last command that the next tick's map, limits and increment use
+    B, locs = make_b_eff()
+    ctrl = IndiController(B, np.diag([0.1, 0.1]), make_limits(), 0.015, mode=mode,
+                          basis=build_basis(locs, 1.8, 5),
+                          lag_model=default_lag_model(0.015, SERVO_ZETA, SERVO_OMEGA, 1))
+    problems = []
+    for name in ("allocate_qp", "allocate_qp_virtual"):
+        def keep(problem, *args, _alloc=getattr(indi, name), **kwargs):
+            problems.append((problem, _alloc(problem, *args, **kwargs)))
+            return problems[-1][1]
+        monkeypatch.setattr(indi, name, keep)
+    y_ref = np.array([3.0, 1.0])
+    ctrl.step(np.zeros(2), y_ref)
+    v = ctrl.u_prev + np.linspace(-2.0, 2.0, 12)
+    ctrl.u_prev = v
+    y_meas, n, p = np.array([0.5, -0.2]), ctrl._state.size, 2
+    want = ctrl._T @ np.concatenate((ctrl._state, v, y_meas, y_ref))
+    u = ctrl.step(y_meas, y_ref)
+    last = ctrl.last
+    assert last["e"].tobytes() == want[:p].tobytes()
+    assert last["nu_c"].tobytes() == want[n:n + p].tobytes()
+    assert last["hedge"].tobytes() == want[n + p:n + 2 * p].tobytes()
+    if mode == "pi":
+        lim = ctrl.limits
+        assert u.tobytes() == np.minimum(np.maximum(want[n + 3 * p:], lim.u_min),
+                                         lim.u_max).tobytes()
+    else:
+        problem, res = problems[-1]
+        assert problem.u0 is v and np.array_equal(problem.ineq.b, assemble(ctrl.limits, v).b)
+        assert problem.target.tobytes() == want[n + 2 * p:n + 3 * p].tobytes()
+        assert u.tobytes() == (v + res.delta_u).tobytes()
+    assert ctrl.u_prev is u and last["u"].tobytes() == u.tobytes()
+
+
 class TestCertificates:
     def _synthetic_logs(self, n=60, scale=1.0):
         rng = np.random.default_rng(5)

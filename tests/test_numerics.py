@@ -228,6 +228,29 @@ class TestBlockMapLifted:
         rows = rng.permutation(k * p)[:max(1, k)]
         assert np.abs(bm.lifted(x0, U, k, rows)[1] - Y[:, rows]).max() <= 1e-12 * peak
 
+    @pytest.mark.parametrize("channels", [(), (3,)], ids=["1-channel", "3-channels"])
+    def test_block_starts_are_the_recursion_bit_for_bit(self, channels):
+        # with tick(k) = [[Ā, B̄], [C̄, D̄]], the block starts are s_{j+1} =
+        # s_j Āᵀ + F_j, F_j the forcing rows of every block taken as one
+        # product: formed here one block at a time, the same bits
+        rng = np.random.default_rng(5)
+        ns, nu, p, k, n = 6, 3, 2, 15, 135
+        A = rng.standard_normal((ns, ns))
+        A *= 0.97 / np.abs(np.linalg.eigvals(A)).max()
+        bm = BlockMap(A, rng.standard_normal((ns, nu)), rng.standard_normal((p, ns)),
+                      rng.standard_normal((p, nu)))
+        x0 = rng.standard_normal((ns,) + channels)
+        U = rng.standard_normal((n, nu) + channels)
+        S, _, x_n = bm.lifted(x0, U, k)
+        M, c, N = bm.tick(k), int(np.prod(channels)), n // k
+        W = U.reshape(N, k * nu, c).transpose(0, 2, 1).reshape(N * c, k * nu)
+        F = (W @ M[:ns, ns:].T).reshape(N, c, ns)
+        At, s = M[:ns, :ns].T, x0.reshape(ns, c).T
+        for j in range(N):
+            assert S[j].tobytes() == s.T.reshape((ns,) + channels).tobytes(), j
+            s = s @ At + F[j]
+        assert x_n.tobytes() == s.T.reshape((ns,) + channels).tobytes()
+
 
 class TestIntegrateStep:
     def test_exponential(self):

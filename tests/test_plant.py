@@ -12,10 +12,22 @@ from morphwing.plant import (
     NoiseModel,
     WingSimulator,
     apply_fault,
-    backlash_step,
     gust_angle,
     synthesize_wing_model,
 )
+
+
+def backlash_step(tau, u, k1, k2, u_f_plus, u_f_minus):
+    """One sample of the velocity-driven backlash law, the reference that
+    ActuatorBank.advance's block is checked against.
+
+    The output rides the upper engagement line k2 (u - u_f+) while the
+    drive pushes up, the lower line k1 (u - u_f-) while it pushes down,
+    and holds in between.  For a monotone move within a sample this
+    clip-based update is exact.
+    """
+    return np.minimum(np.maximum(tau, k2 * (np.asarray(u, dtype=float) - u_f_plus)),
+                      k1 * (np.asarray(u, dtype=float) - u_f_minus))
 
 
 class TestWingModel:

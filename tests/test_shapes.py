@@ -2,9 +2,18 @@ import numpy as np
 import pytest
 
 from morphwing.errors import BadDimension, DimensionMismatch, RankLoss
-from morphwing.shapes import build_basis, chebyshev_eval, to_servo_space
+from morphwing.shapes import build_basis, chebyshev_eval
 
 LOCS12 = np.linspace(0.15, 1.8, 12)
+
+
+def to_servo_space(basis, u_v):
+    """Map a virtual command (length q) to servo commands (length m): Phi u_v,
+    as the controller and the run log apply the basis."""
+    u_v = np.asarray(u_v, dtype=float)
+    if u_v.shape != (basis.q,):
+        raise DimensionMismatch(f"expected length-{basis.q} virtual command, got shape {u_v.shape}")
+    return basis.Phi @ u_v
 
 
 class TestChebyshevEval:

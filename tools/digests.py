@@ -5,7 +5,8 @@
 Each line reads `name digest/csv_sha256 binding N`: the first 16 hex of
 the RunLog digest (benchmark/reference.py's log_digest), of the SHA-256
 of the run's emitted CSV, and the run's binding ticks.  A change that
-keeps every run byte-identical prints the same lines.  Run from the root
+keeps every run byte-identical prints the same lines; lines() returns
+them to other tools, such as tools/bench.py.  Run from the root
 of a source checkout; the package is imported from its src/.
 """
 
@@ -40,14 +41,22 @@ def configs():
     return [(name, replace(cfg, controller=c)) for name, cfg, c in runs]
 
 
-def main():
+def lines():
+    """The tracked digest lines, one per run of configs(), in its order."""
+    out = []
     with tempfile.TemporaryDirectory() as tmp:
         for name, cfg in configs():
             log, _ = run_scenario(cfg, pair_open_loop=False)
             path = emit_csv(log, Path(tmp) / "run.csv")
             csv = hashlib.sha256(path.read_bytes()).hexdigest()
-            print(f"{name} {log_digest(log)[:16]}/{csv[:16]} "
-                  f"binding {int(np.sum(log.sat_flags))}")
+            out.append(f"{name} {log_digest(log)[:16]}/{csv[:16]} "
+                       f"binding {int(np.sum(log.sat_flags))}")
+    return out
+
+
+def main():
+    for line in lines():
+        print(line)
 
 
 if __name__ == "__main__":
