@@ -46,8 +46,7 @@ class AllocationProblem:
     ineq: LinearInequality
 
     def __post_init__(self):
-        # a 2-D float ndarray, the controller's every tick, is taken as it is, as
-        # asarray takes a float ndarray
+        # a 2-D float ndarray (every controller tick) is kept as is, as asarray would
         B = self.B_eff
         if not (type(B) is np.ndarray and B.dtype == np.float64 and B.ndim == 2):
             self.B_eff = np.atleast_2d(np.asarray(B, dtype=float))

@@ -96,10 +96,8 @@ def assemble(limits, u0):
     every call.  E holds only +/-1 and zeros, so b equals the row-by-row
     u_max - u0, u0 - u_min, u_adj -/+ C u0 bit for bit: with every position
     and relative row of b non-negative, u0 is within its bounds, clamping
-    it changes nothing and b is taken as first formed.  The rate rows of b
-    are b_rate > 0 (InputLimits checks that they straddle zero), so one
-    minimum over all of b tests the position and relative rows; a
-    non-finite u0 makes it NaN and is not clamped.
+    it changes nothing and b is taken as first formed.  The rate rows are
+    b_rate > 0 (InputLimits checks), so b.min() tests the others; a NaN is not clamped.
     """
     b = limits.b0 + np.dot(limits.E, u0)
     if b.min() < 0.0:

@@ -24,7 +24,8 @@ import numpy as np
 
 from .allocator import AllocationProblem, CompiledQP, allocate_qp, allocate_qp_virtual
 from .constraints import assemble, rate_box
-from .errors import GainNotContractive, InfeasibleCurrentState, NotHurwitz, RankDeficient
+from .errors import (
+    DimensionMismatch, GainNotContractive, InfeasibleCurrentState, NotHurwitz, RankDeficient)
 from .numerics import (
     SecondOrderFilter,
     delay_chain,
@@ -139,6 +140,7 @@ class IndiController:
         self._rec_u, self.u_v, self._rec_loads, self._rec_eps, self._rec_e = np.split(
             np.frombuffer(self.last, float, m + q + 4 * p), np.cumsum([m, q, 2 * p, p]))
         self._rec_iterations, self._rec_saturated = self.last["iterations"], self.last["saturated"]
+        self._shapes = ((m,), (p,), (p,))   # u_prev, y_meas, y_ref: a view write broadcasts
 
     def step(self, y_meas, y_ref):
         """One controller tick: measured loads in, total command out.
@@ -148,14 +150,15 @@ class IndiController:
         reference, so they enter the pseudo-control directly).  The tick
         goes into last until the next step; the command is a new array.
         """
+        if (np.shape(self.u_prev), np.shape(y_meas), np.shape(y_ref)) != self._shapes:
+            raise DimensionMismatch(f"u_prev, y_meas, y_ref must have shapes {self._shapes}")
         self._z_u[...], self._z_y[...], self._z_r[...] = self.u_prev, y_meas, y_ref
         np.dot(self._T, self._z, out=self._r)   # the gemv of @, with less dispatch
         self._state[...] = self._r_state
-        target = self._target
 
         if self.mode == "pi":
             u = np.minimum(np.maximum(self._r_u, self.limits.u_min), self.limits.u_max)
-            np.subtract(self.B_eff @ (u - self.u_prev), target, out=self._rec_eps)
+            np.subtract(self.B_eff @ (u - self.u_prev), self._target, out=self._rec_eps)
         else:
             try:
                 ineq, qp, warm = assemble(self.limits, self.u_prev), self._qp, self._warm
@@ -164,7 +167,7 @@ class IndiController:
                 # starts cold and leaves no warm start for the compiled one
                 ineq, qp, warm = rate_box(self.limits), None, ()
             problem = AllocationProblem(   # target copied: the next tick overwrites r
-                B_eff=self.B_eff, target=target.copy(), sigma=self.sigma, u0=self.u_prev,
+                B_eff=self.B_eff, target=self._target.copy(), sigma=self.sigma, u0=self.u_prev,
                 ineq=ineq)
             if self.mode == "qp-v":
                 res = allocate_qp_virtual(problem, self.basis.Phi, warm_start=warm, compiled=qp)

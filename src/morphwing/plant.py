@@ -184,9 +184,8 @@ class ActuatorBank:
         r, ns = np.dot(self.servo.tick(n, held=True), self._xu), len(self._x)
         self._x[...], v = r[:ns], r[ns:]
         if self.backlash_on:
-            # backlash row by row: tau rides the upper engagement line k2 (v - u_f+)
-            # up, the lower one k1 (v - u_f-) down, and holds in between; the lines
-            # are taken for the whole block at once
+            # backlash row by row: tau rides the engagement line k2 (v - u_f+) up,
+            # k1 (v - u_f-) down, and holds in between; lines taken for the whole block
             hi, lo = self.k2 * (v - self.u_f_plus), self.k1 * (v - self.u_f_minus)
             for row, up, down in zip(v, hi, lo):
                 self.tau = np.minimum(np.maximum(self.tau, up, out=row), down, out=row)

@@ -64,3 +64,7 @@ def test_fewer_than_ten_pairs_never_resolve():
     assert one["base_quartiles"] == [20.0, 20.0] and not one["resolved"]
     with pytest.raises(ValueError):
         bench.summarize([1.0, 2.0], [1.0], "lower")
+
+
+def test_a_tree_without_the_digest_script_has_no_digests(tmp_path):
+    assert bench.tree_digests(tmp_path) is None

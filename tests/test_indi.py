@@ -375,6 +375,30 @@ def test_assigned_u_prev_is_the_next_ticks_command(monkeypatch, mode):
     assert ctrl.u_prev is u and last["u"].tobytes() == u.tobytes()
 
 
+@pytest.mark.parametrize("mode", ["qp-v", "qp", "pi"])
+@pytest.mark.parametrize("which, value", [
+    ("y_meas", 0.5), ("y_meas", [0.5]), ("y_meas", np.zeros(3)), ("y_ref", 3.0),
+    ("y_ref", np.ones(1)), ("u_prev", np.zeros(1)), ("u_prev", 0.0), ("u_prev", np.zeros(11)),
+])
+def test_step_refuses_wrongly_shaped_inputs(mode, which, value):
+    # the step writes its inputs into views of the map's input vector, where a
+    # scalar or length-1 value would broadcast; it is refused, and the
+    # controller is left as it was
+    B, locs = make_b_eff()
+    ctrl = IndiController(B, np.diag([0.1, 0.1]), make_limits(), 0.015, mode=mode,
+                          basis=build_basis(locs, 1.8, 5), lag_model=None)
+    ctrl.step(np.zeros(2), np.array([3.0, 1.0]))
+    z, last = ctrl._z.copy(), ctrl.last.copy()
+    args = {"y_meas": np.zeros(2), "y_ref": np.array([3.0, 1.0])}
+    if which == "u_prev":
+        ctrl.u_prev = value
+    else:
+        args[which] = value
+    with pytest.raises(DimensionMismatch, match="shapes"):
+        ctrl.step(**args)
+    assert ctrl._z.tobytes() == z.tobytes() and ctrl.last.tobytes() == last.tobytes()
+
+
 class TestCertificates:
     def _synthetic_logs(self, n=60, scale=1.0):
         rng = np.random.default_rng(5)

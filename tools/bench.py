@@ -1,22 +1,23 @@
 """Benchmark this checkout against a commit: alternating runs, one summary file.
 
-    python3 tools/bench.py --against HEAD~1 --pairs 10 --seconds 50 --seed 100 \\
-        --out bench.json
+    python3 tools/bench.py --against HEAD~1 --pairs 10 --seconds 50 --out bench.json
 
 Exports the tree of --against (git archive) into a temporary directory
 outside the checkout.  Then, for each pair and each workload that
 BENCHMARK.json lists, it runs `python3 benchmark/run.py --workload W
---seconds S --seed N --trace 0` once in that tree ("base") and once in
-this checkout ("change"), as it is on disk; even pairs run the base first,
-odd pairs the change.  Each run's result is the JSON on its last line.
+--seconds S --trace 0` (the workload's own seed) once in that tree
+("base") and once in this checkout ("change"), as it is on disk; even
+pairs run the base first, odd pairs the change.  Each run's result is the
+JSON on its last line.
 
 The summary file holds the environment, every run's result, and per
 workload and end-to-end metric (BENCHMARK.json says which way is better):
 each side's values in pair order, median and quartiles, the change's
 median over the base's, the pairs the change won and lost (ties count for
 neither), and whether the difference is resolved (see summarize).  It
-ends with this checkout's 13 lines of tools/digests.py.  Run from the
-root of a source checkout.  Exit code 0 when every run passed its checks,
+ends with the 13 lines of tools/digests.py of each tree (the base's from
+its own script; none if it has no such script) and whether they are
+identical.  Run from the root of a source checkout.  Exit code 0 when every run passed its checks,
 1 when one did not, 2 when a run gave no result.
 """
 
@@ -97,7 +98,7 @@ def export(ref, dest):
 def run_once(tree, workload, args):
     """One benchmark run in tree; its result line, parsed."""
     cmd = [sys.executable, "benchmark/run.py", "--workload", workload,
-           "--seconds", str(args.seconds), "--seed", str(args.seed), "--trace", "0"]
+           "--seconds", str(args.seconds), "--trace", "0"]
     out = subprocess.run(cmd, cwd=tree, capture_output=True, text=True,
                          timeout=4 * args.seconds + 600)
     try:
@@ -107,6 +108,15 @@ def run_once(tree, workload, args):
         print(f"error: {workload} in {tree} gave no result (exit {out.returncode})",
               file=sys.stderr)
         raise SystemExit(2)
+
+
+def tree_digests(tree):
+    """The lines of tree's own tools/digests.py, run in tree; None if it has none."""
+    if not (tree / "tools" / "digests.py").exists():
+        return None
+    out = subprocess.run([sys.executable, "tools/digests.py"], cwd=tree, capture_output=True,
+                         text=True, check=True)
+    return out.stdout.splitlines()
 
 
 def environment():
@@ -121,11 +131,10 @@ def main():
     p.add_argument("--against", required=True, help="the base commit, e.g. HEAD or a hash")
     p.add_argument("--pairs", type=int, default=MIN_PAIRS, help="runs of each tree per workload")
     p.add_argument("--seconds", type=float, default=50.0, help="benchmark/run.py --seconds")
-    p.add_argument("--seed", type=int, default=100, help="benchmark/run.py --seed")
     p.add_argument("--out", type=Path, required=True, help="the summary file to write")
     args = p.parse_args()
-    if args.pairs < 1 or args.seconds <= 0 or args.seed < 0:
-        p.error("--pairs must be >= 1, --seconds > 0 and --seed >= 0")
+    if args.pairs < 1 or args.seconds <= 0:
+        p.error("--pairs must be >= 1 and --seconds > 0")
     os.environ.update(BLAS_THREADS)   # for the runs, and before the digests import numpy
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
@@ -144,6 +153,7 @@ def main():
                                       for m, v in result["metrics"].items())
                     print(f"# pair {pair} {name} {side}: failed {result['failed']} {values}",
                           file=sys.stderr)
+        base_digests = tree_digests(base)
 
     def values(name, side, metric):
         return [r["metrics"][metric]["value"] for r in runs
@@ -155,18 +165,20 @@ def main():
                       for metric, better in metrics.items()}
                for name in workloads}
     import digests
+    change_digests = digests.lines()
     report = {
         "base": {"ref": args.against, "commit": base_commit},
         "change": {"commit": git("rev-parse", "HEAD"),
                    "uncommitted_changes": bool(git("status", "--porcelain",
                                                    "--untracked-files=no"))},
-        "settings": {"pairs": args.pairs, "seconds": args.seconds, "seed": args.seed,
+        "settings": {"pairs": args.pairs, "seconds": args.seconds,
                      "min_pairs": MIN_PAIRS, "win_share": WIN_SHARE},
         "environment": environment(),
         "runs": [{k: r[k] for k in ("pair", "workload", "side", "correct", "attempted",
                                     "failed")} for r in runs],
         "workloads": summary,
-        "digests": digests.lines(),
+        "digests": {"base": base_digests, "change": change_digests,
+                    "identical": None if base_digests is None else base_digests == change_digests},
     }
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     for name, table in summary.items():
@@ -174,6 +186,7 @@ def main():
             print(f"{name} {metric} {s['base_median']:.4g} -> {s['change_median']:.4g} "
                   f"{s['unit']} (won {s['pairs_won']} lost {s['pairs_lost']} of "
                   f"{args.pairs}) {s['verdict'] or 'unresolved'}")
+    print(f"digests identical: {report['digests']['identical']}")
     return 0 if all(r["correct"] and not r["failed"] for r in runs) else 1
 
 
