@@ -200,12 +200,13 @@ class CompiledQP:
 
 
 def allocate_qp(problem, warm_start=(), compiled=None):
-    """Constrained allocation in servo space; see allocate_qp_virtual."""
-    return _allocate(problem, None, warm_start, compiled)
+    """Constrained allocation in servo space: allocate_qp_virtual with Phi None."""
+    return allocate_qp_virtual(problem, None, warm_start, compiled)
 
 
 def allocate_qp_virtual(problem, Phi, warm_start=(), compiled=None):
-    """Constrained allocation over virtual-shape coefficients, du = Phi x.
+    """Constrained allocation over virtual-shape coefficients, du = Phi x,
+    or in servo space (du = x) when Phi is None.
 
     The effectiveness and inequality are both composed with Phi so the
     QP searches only q coefficients; the returned increment is mapped
@@ -213,14 +214,10 @@ def allocate_qp_virtual(problem, Phi, warm_start=(), compiled=None):
     construction.  compiled is the CompiledQP of the problem's constant
     parts; without one it is built from the problem.
 
-    Precondition: B_eff @ Phi has full row rank.  Both are constant over
-    a run, so the caller checks this once (IndiController does so at
-    construction) rather than on every call.
+    Precondition: B_eff @ Phi (B_eff in servo space) has full row rank.
+    Both are constant over a run, so the caller checks this once
+    (IndiController does so at construction) rather than on every call.
     """
-    return _allocate(problem, Phi, warm_start, compiled)
-
-
-def _allocate(problem, Phi, warm_start, compiled):
     compiled = compiled or CompiledQP(problem.B_eff, problem.sigma, problem.ineq.A, Phi)
     x, iterations, active, status = compiled.solve(problem, warm_start)
     delta_u = x if Phi is None else np.dot(Phi, x)

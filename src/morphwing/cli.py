@@ -162,12 +162,11 @@ def compare(config, controllers, out, seed):
 @click.argument("config", type=click.Path())
 @click.option("--seed", default=None, type=int)
 def certify(config, seed):
-    """Run a scenario and evaluate its boundedness certificates."""
+    """Check the controller, run a scenario and evaluate its boundedness certificates."""
     cfg = _guard(lambda: _load_config(config, seed))
 
     def go():
-        log, _ = run_scenario(cfg, pair_open_loop=False)
-        cert = certify_run(log, cfg)
+        cert = certify_run(None, cfg)
         click.echo(f"b_bar            {cert.b_bar:.6f}")
         click.echo(f"mu1              {cert.mu1:.6f}")
         click.echo(f"recursion bound  {cert.recursion_bound:.6f}  "

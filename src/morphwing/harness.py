@@ -21,10 +21,10 @@ from .numerics import pseudo_inverse
 from .plant import (
     DEFAULT_LOCATIONS,
     MEAS_OMEGA,
-    SERVO_OMEGA,
-    SERVO_ZETA,
     ActuatorBank,
-    GustProfile,
+    ActuatorConfig,
+    FaultConfig,
+    GustConfig,
     NoiseModel,
     WingSimulator,
     apply_fault,
@@ -99,43 +99,12 @@ class LimitsConfig:
 
 
 @dataclass
-class ActuatorConfig:
-    zeta: float = SERVO_ZETA
-    omega: float = SERVO_OMEGA
-    delay: float = 0.015
-    backlash: bool = False
-    k1: float = 1.0
-    k2: float = 1.0
-    u_f_plus: float = 0.6
-    u_f_minus: float = -0.6
-    instant: bool = False
-
-
-@dataclass
-class GustConfig:
-    enabled: bool = True
-    a_g: float = 1.0
-    f_g: float = 1.0
-    phi: float = 0.0
-    d_gw: float = 2.0
-    v: float = 1.0
-    repeat: int = 20
-
-
-@dataclass
 class NoiseConfig:
     enabled: bool = False
     std: float = 1.0
     seed: int = 100
     zeta: float = 0.7
     omega: float = 30.0
-
-
-@dataclass
-class FaultConfig:
-    enabled: bool = False
-    failed: list = field(default_factory=lambda: [8])
-    scaled: list = field(default_factory=lambda: [[7, 0.468], [9, 0.7348]])
 
 
 @dataclass
@@ -375,25 +344,15 @@ def build_model(cfg):
 
 
 def build_simulator(cfg, model):
-    a = cfg.actuators
-    bank = ActuatorBank(
-        cfg.plant.m, dt=cfg.dt_plant, zeta=a.zeta, omega=a.omega, delay_s=a.delay,
-        backlash_on=a.backlash, k1=a.k1, k2=a.k2,
-        u_f_plus=a.u_f_plus, u_f_minus=a.u_f_minus, instant=a.instant,
-    )
+    bank = ActuatorBank(cfg.plant.m, cfg.actuators, cfg.dt_plant)
     if cfg.fault.enabled:
-        apply_fault(bank, failed=tuple(cfg.fault.failed),
-                    scaled=tuple((i, s) for i, s in cfg.fault.scaled))
+        apply_fault(bank, cfg.fault)
     noise = None
     if cfg.noise.enabled:
         noise = NoiseModel(cfg.noise.std * np.ones(2), dt=cfg.dt_plant,
                            seed=cfg.noise.seed, zeta=cfg.noise.zeta, omega=cfg.noise.omega)
-    gust = None
-    if cfg.gust.enabled:
-        g = cfg.gust
-        gust = GustProfile(A_g=g.a_g, f_g=g.f_g, phi=g.phi, d_gw=g.d_gw, V=g.v,
-                           repeat=g.repeat)
-    return WingSimulator(model, actuators=bank, noise=noise, gust=gust, dt=cfg.dt_plant)
+    return WingSimulator(model, actuators=bank, noise=noise,
+                         gust=cfg.gust if cfg.gust.enabled else None, dt=cfg.dt_plant)
 
 
 def build_controller(cfg, model, basis, limits):
@@ -602,7 +561,8 @@ def frequency_sweep(cfg, freqs):
 
 
 def certify_run(log, cfg):
-    """Evaluate the boundedness certificates on a finished run.
+    """Evaluate the boundedness certificates on a finished run of cfg, or,
+    with log None, on one simulated here once cfg's controller is checked.
 
     The tick-scale true effectiveness is the feedthrough of the twin
     composed with any actuator fault scaling; the controller's model is
@@ -613,6 +573,8 @@ def certify_run(log, cfg):
     """
     if not cfg.controller.startswith("indi"):
         raise ConfigError("certificates apply to the incremental controller only")
+    if log is None:
+        log, _ = run_scenario(cfg, pair_open_loop=False)
     model = build_model(cfg)
     B_model = model.B_static
     B_true = model.D @ np.diag(build_simulator(cfg, model).actuators.scales)

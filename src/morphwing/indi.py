@@ -25,7 +25,8 @@ import numpy as np
 from .allocator import AllocationProblem, CompiledQP, allocate_qp, allocate_qp_virtual
 from .constraints import assemble, rate_box
 from .errors import (
-    DimensionMismatch, GainNotContractive, InfeasibleCurrentState, NotHurwitz, RankDeficient)
+    ConfigError, DimensionMismatch, GainNotContractive, InfeasibleCurrentState, NotHurwitz,
+    RankDeficient)
 from .numerics import (
     SecondOrderFilter,
     delay_chain,
@@ -103,8 +104,10 @@ class IndiController:
         self.dt = dt
         self.mode = mode
         self.basis = basis
+        if mode not in ("pi", "qp", "qp-v"):
+            raise ConfigError(f'mode must be "pi", "qp" or "qp-v", got {mode!r}')
         if mode == "qp-v" and basis is None:
-            raise ValueError("virtual-shape mode needs a basis")
+            raise ConfigError("virtual-shape mode needs a basis")
         if mode == "qp-v" and np.linalg.matrix_rank(self.B_eff @ basis.Phi, tol=1e-10) < p:
             raise RankDeficient("effectiveness composed with the shape basis lost row rank")
         self.sigma = sigma

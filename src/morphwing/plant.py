@@ -28,7 +28,7 @@ lifted block products, one block per tick, committing each chunk of them
 into the same run log (_run_log).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -126,22 +126,44 @@ def synthesize_wing_model(m=12, n_modes=2, locations=None, half_span=1.8,
     return WingModel(A=A, B=B, B_g=B_g, C=C, D=D, B_static=B_static, locations=locations)
 
 
+# The plant's specs, which are also a scenario's sections (harness.ScenarioConfig).
 @dataclass
-class GustProfile:
-    A_g: float
-    f_g: float
+class ActuatorConfig:
+    zeta: float = SERVO_ZETA
+    omega: float = SERVO_OMEGA
+    delay: float = 0.015
+    backlash: bool = False
+    k1: float = 1.0
+    k2: float = 1.0
+    u_f_plus: float = 0.6
+    u_f_minus: float = -0.6
+    instant: bool = False
+
+
+@dataclass
+class GustConfig:
+    enabled: bool = True
+    a_g: float = 1.0
+    f_g: float = 1.0
     phi: float = 0.0
-    d_gw: float = 0.0
-    V: float = 1.0
-    repeat: int = 1
+    d_gw: float = 2.0
+    v: float = 1.0
+    repeat: int = 20
 
 
-def gust_angle(profile, t):
+@dataclass
+class FaultConfig:
+    enabled: bool = False
+    failed: list = field(default_factory=lambda: [8])
+    scaled: list = field(default_factory=lambda: [[7, 0.468], [9, 0.7348]])
+
+
+def gust_angle(gust, t):
     """"1-cos" gust angle at time(s) t: zero before arrival and after `repeat` periods."""
-    s = np.asarray(t, dtype=float) - profile.d_gw / profile.V
-    on = (s >= 0.0) & (s < profile.repeat / profile.f_g)
-    cos = np.cos(2.0 * np.pi * profile.f_g * s + profile.phi)
-    return np.where(on, 0.5 * profile.A_g * (1.0 - cos), 0.0)[()]
+    s = np.asarray(t, dtype=float) - gust.d_gw / gust.v
+    on = (s >= 0.0) & (s < gust.repeat / gust.f_g)
+    cos = np.cos(2.0 * np.pi * gust.f_g * s + gust.phi)
+    return np.where(on, 0.5 * gust.a_g * (1.0 - cos), 0.0)[()]
 
 
 class ActuatorBank:
@@ -151,27 +173,29 @@ class ActuatorBank:
     the servo section are one linear map per channel with depth + 2
     states.  A block holds one command, so its map (built once per block
     length) takes [state; command] and returns every step's servo output
-    and the new state in one product.  instant=True (actuators.instant) makes
-    it the empty chain, without backlash: every step's output is the held
+    and the new state in one product.  spec is an ActuatorConfig; its instant
+    makes the chain empty, without backlash: every step's output is the held
     command times the fault scales, in effect from the step it is issued.
     """
 
-    def __init__(self, m, dt=DT_PLANT, zeta=SERVO_ZETA, omega=SERVO_OMEGA, delay_s=0.015,
-                 backlash_on=False, k1=1.0, k2=1.0, u_f_plus=0.6, u_f_minus=-0.6,
-                 instant=False):
+    def __init__(self, m, spec, dt=DT_PLANT):
         self.m = m
-        self.depth = 0 if instant else int(round(delay_s / dt))
-        self.filter = SecondOrderFilter(zeta, omega, dt, channels=m)
-        self.servo = BlockMap(*delay_chain(self.depth, [] if instant else [self.filter]))
+        self.depth = 0 if spec.instant else int(round(spec.delay / dt))
+        self.filter = SecondOrderFilter(spec.zeta, spec.omega, dt, channels=m)
+        self.servo = BlockMap(*delay_chain(self.depth, [] if spec.instant else [self.filter]))
         # [delay registers, oldest first; servo states; command], one column per channel
         self._xu = np.zeros((len(self.servo.Ad) + 1, m))
         self._x, self._u = self._xu[:-1], self._xu[-1]
-        self.backlash_on = backlash_on and not instant
-        self.k1, self.k2 = k1, k2
-        self.u_f_plus, self.u_f_minus = u_f_plus, u_f_minus
+        self.backlash_on = spec.backlash and not spec.instant
+        self.k1, self.k2 = spec.k1, spec.k2
+        self.u_f_plus, self.u_f_minus = spec.u_f_plus, spec.u_f_minus
         self.tau = np.zeros(m)
-        self.scales = np.ones(m)
+        self._scales = np.ones(m)
+        self._scales.flags.writeable = False
         self.healthy = True   # every scale is 1.0; set by apply_fault, the scales' only writer
+
+    # read-only, so that no write skips apply_fault and leaves healthy stale
+    scales = property(lambda self: self._scales)
 
     def step(self, u_cmd):
         return self.advance(u_cmd, 1)[0]
@@ -190,23 +214,24 @@ class ActuatorBank:
             for row, up, down in zip(v, hi, lo):
                 self.tau = np.minimum(np.maximum(self.tau, up, out=row), down, out=row)
         if not self.healthy:
-            return np.multiply(self.scales, v, out=out)
+            return np.multiply(self._scales, v, out=out)
         out[...] = v   # unit scales: their product would be v bit for bit
         return out
 
 
-def apply_fault(bank, failed=(8,), scaled=((7, 0.468), (9, 0.7348))):
-    """Degrade actuator channels in place (indices 0-based).
+def apply_fault(bank, fault):
+    """Degrade actuator channels by a FaultConfig's pattern, enabled or not.
 
-    Default pattern: one dead channel flanked by two partially effective
-    neighbors.  The controller's effectiveness model is left untouched
-    by design — it was identified on the healthy system.
+    The controller's effectiveness model is left untouched by design — it
+    was identified on the healthy system.
     """
-    for i in failed:
-        bank.scales[i] = 0.0
-    for i, s in scaled:
-        bank.scales[i] = s
-    bank.healthy = bool((bank.scales == 1.0).all())
+    scales = bank.scales.copy()
+    for i in fault.failed:
+        scales[i] = 0.0
+    for i, s in fault.scaled:
+        scales[i] = s
+    scales.flags.writeable = False
+    bank._scales, bank.healthy = scales, bool((scales == 1.0).all())
     return bank
 
 
@@ -262,8 +287,8 @@ class WingSimulator:
     and the measurement low pass, so it returns [y_true, y_raw, y_filt];
     without noise it is the modal map alone.  `state` is the map's state
     and `x` its modal part; `t` is the time after the steps taken.
-    _next_inputs gives every path its input rows: the gust angle on the
-    running sum of dt and the white noise, in step order.  advance() runs
+    _next_inputs gives every path its input rows: the angle of gust (a
+    GustConfig, or None) on the running sum of dt and the white noise.  advance() runs
     one block through the whole map; a closed-loop run ticks through
     closed_loop() and a run with no controller goes through coast(),
     which both fill one run log (_run_log) with only its rows.
@@ -272,7 +297,7 @@ class WingSimulator:
     def __init__(self, model, actuators=None, noise=None, gust=None, dt=DT_PLANT):
         self.model = model
         self.dt = dt
-        self.actuators = actuators or ActuatorBank(model.B.shape[1], dt=dt)
+        self.actuators = actuators or ActuatorBank(model.B.shape[1], ActuatorConfig(), dt)
         self.noise = noise
         self.gust = gust
         self.meas_filter = SecondOrderFilter(MEAS_ZETA, MEAS_OMEGA, dt, channels=2)

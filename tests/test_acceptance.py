@@ -23,7 +23,7 @@ from morphwing.harness import (
     run_scenario,
 )
 from morphwing.numerics import integrate_step, pseudo_inverse, solve_care, solve_lyapunov
-from morphwing.plant import ActuatorBank, synthesize_wing_model
+from morphwing.plant import ActuatorBank, ActuatorConfig, synthesize_wing_model
 from morphwing.shapes import build_basis
 
 from test_allocator import make_problem, nnls_objective, qp_objective
@@ -255,8 +255,8 @@ def test_criterion_10_backlash_hysteresis():
     model = synthesize_wing_model()
 
     def load_gap(deadband):
-        bank = ActuatorBank(12, dt=0.001, backlash_on=True,
-                            u_f_plus=deadband, u_f_minus=-deadband)
+        bank = ActuatorBank(12, ActuatorConfig(backlash=True, u_f_plus=deadband,
+                                               u_f_minus=-deadband), dt=0.001)
         n = 20000
         tri = np.concatenate([np.linspace(0.0, 2.0, n), np.linspace(2.0, 0.0, n)])
         loads = np.empty(2 * n)

@@ -232,6 +232,22 @@ def test_certify_simulates_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_certify_refuses_other_controllers_before_simulating(tmp_path, monkeypatch):
+    # the certificates are the incremental controller's: an lqg config exits 1 unsimulated
+    calls = []
+
+    def simulate(cfg):
+        calls.append(cfg)
+        raise AssertionError("simulated")
+    monkeypatch.setattr(harness, "_simulate", simulate)
+    cfg_path = write_cfg(tmp_path / "s.yaml", ScenarioConfig(controller="lqg", duration=0.5))
+    result = CliRunner().invoke(main, ["certify", cfg_path])
+    assert result.exit_code == 1
+    assert result.output.strip().splitlines() == [
+        "config error: certificates apply to the incremental controller only"]
+    assert calls == []
+
+
 def test_seed_override_changes_noisy_run(tmp_path):
     cfg = ScenarioConfig(duration=0.5)
     cfg.noise.enabled = True

@@ -8,7 +8,8 @@ import pytest
 from morphwing import harness, indi
 from morphwing.allocator import AllocationProblem, allocate_qp, allocate_qp_virtual
 from morphwing.constraints import InputLimits, assemble
-from morphwing.errors import DimensionMismatch, GainNotContractive, NotHurwitz, RankDeficient
+from morphwing.errors import (
+    ConfigError, DimensionMismatch, GainNotContractive, NotHurwitz, RankDeficient)
 from morphwing.indi import (
     IndiController,
     LagModel,
@@ -239,6 +240,15 @@ class TestControllerStep:
         with pytest.raises(RankDeficient):
             IndiController(B, np.diag([0.1, 0.1]), make_limits(), 0.015,
                            mode="qp-v", basis=build_basis(locs, 1.8, 1), lag_model=None)
+
+    @pytest.mark.parametrize("mode, basis", [("qp_v", True), ("QP", False), ("", False),
+                                             ("qp-v", False)])
+    def test_unknown_mode_or_missing_basis_raises_at_construction(self, mode, basis):
+        # only "pi", "qp" and "qp-v" exist, and "qp-v" needs a shape basis
+        B, locs = make_b_eff()
+        with pytest.raises(ConfigError):
+            IndiController(B, np.diag([0.1, 0.1]), make_limits(), 0.015, mode=mode,
+                           basis=build_basis(locs, 1.8, 5) if basis else None, lag_model=None)
 
     @pytest.mark.parametrize("mode, sigma", [("qp", 0.0), ("qp-v", 0.0), ("qp-v", 1.0)])
     def test_sigma_outside_unit_interval_raises_at_construction(self, mode, sigma):

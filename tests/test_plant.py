@@ -8,7 +8,9 @@ from morphwing.numerics import SecondOrderFilter, hurwitz_margin, integrate_step
 from morphwing.plant import (
     GUST_CHUNK,
     ActuatorBank,
-    GustProfile,
+    ActuatorConfig,
+    FaultConfig,
+    GustConfig,
     NoiseModel,
     WingSimulator,
     apply_fault,
@@ -116,49 +118,49 @@ class TestDeadbandMaps:
 
 class TestGust:
     def test_zero_before_arrival(self):
-        g = GustProfile(A_g=1.0, f_g=1.0, d_gw=2.0, V=1.0)
+        g = GustConfig(a_g=1.0, f_g=1.0, d_gw=2.0, v=1.0, repeat=1)
         assert gust_angle(g, 1.999) == 0.0
 
     def test_peak_equals_amplitude(self):
-        g = GustProfile(A_g=3.5, f_g=0.5, d_gw=0.0, V=1.0)
+        g = GustConfig(a_g=3.5, f_g=0.5, d_gw=0.0, v=1.0, repeat=1)
         ts = np.linspace(0.0, 2.0, 2001)
         vals = np.array([gust_angle(g, t) for t in ts])
         assert vals.max() == pytest.approx(3.5, abs=1e-6)
 
     def test_single_period_duration(self):
-        g = GustProfile(A_g=3.5, f_g=0.5, d_gw=0.0, V=1.0, repeat=1)
+        g = GustConfig(a_g=3.5, f_g=0.5, d_gw=0.0, v=1.0, repeat=1)
         assert gust_angle(g, 1.0) == pytest.approx(3.5, abs=1e-9)
         assert gust_angle(g, 2.0) == 0.0
         assert gust_angle(g, 5.0) == 0.0
 
     def test_repeat_extends_window(self):
-        g = GustProfile(A_g=1.0, f_g=1.0, d_gw=0.0, V=1.0, repeat=3)
+        g = GustConfig(a_g=1.0, f_g=1.0, d_gw=0.0, v=1.0, repeat=3)
         assert gust_angle(g, 2.5) > 0.0
         assert gust_angle(g, 3.0) == 0.0
 
 
 class TestActuators:
     def test_transport_delay_is_exact_sample_count(self):
-        bank = ActuatorBank(2, dt=0.001, delay_s=0.015)
+        bank = ActuatorBank(2, ActuatorConfig(delay=0.015), dt=0.001)
         assert bank.depth == 15
         outs = [bank.step(np.ones(2))[0] for _ in range(20)]
         assert all(o == 0.0 for o in outs[:15])
         assert outs[15] > 0.0
 
     def test_servo_settles_to_command(self):
-        bank = ActuatorBank(2, dt=0.001)
+        bank = ActuatorBank(2, ActuatorConfig(), dt=0.001)
         u = np.array([1.0, -2.0])
         for _ in range(3000):
             out = bank.step(u)
         assert np.allclose(out, u, atol=1e-6)
 
     def test_instant_bypasses_dynamics(self):
-        bank = ActuatorBank(3, instant=True)
+        bank = ActuatorBank(3, ActuatorConfig(instant=True))
         u = np.array([1.0, 2.0, 3.0])
         assert np.array_equal(bank.step(u), u)
 
     def test_default_fault_pattern(self):
-        bank = apply_fault(ActuatorBank(12))
+        bank = apply_fault(ActuatorBank(12, ActuatorConfig()), FaultConfig())
         assert bank.scales[8] == 0.0
         assert bank.scales[7] == pytest.approx(0.468)
         assert bank.scales[9] == pytest.approx(0.7348)
@@ -169,13 +171,13 @@ class TestActuators:
         # a healthy bank skips its unit scales; a fault applied after it has
         # run scales the next block, bit for bit the servo output times the scales
         def bank():
-            return ActuatorBank(12, backlash_on=backlash)
+            return ActuatorBank(12, ActuatorConfig(backlash=backlash))
 
         u = np.linspace(2.0, 5.0, 12)   # beyond the 0.6 deg backlash
         healthy, twin = bank(), bank()
         first = healthy.advance(u, 200)   # past the delay and the backlash
         assert np.array_equal(first, twin.advance(u, 200)) and np.all(first[-1] != 0.0)
-        apply_fault(healthy)
+        apply_fault(healthy, FaultConfig())
         assert not healthy.healthy and twin.healthy
         out = np.full((20, 12), np.nan)
         faulted = healthy.advance(2.0 * u, 20, out=out)
@@ -185,8 +187,21 @@ class TestActuators:
         assert np.all(faulted[:, 8] == 0.0) and np.any(expected[:, 8] != 0.0)
         assert np.array_equal(faulted[:, 7], 0.468 * expected[:, 7])
 
+    def test_scales_change_only_through_apply_fault(self):
+        # a direct write would go unused while healthy stays set: it raises instead,
+        # before and after a fault
+        bank = ActuatorBank(12, ActuatorConfig(delay=0.0))
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                bank.scales[3] = 0.0
+            with pytest.raises(AttributeError):
+                bank.scales = np.zeros(12)
+            apply_fault(bank, FaultConfig(failed=[3], scaled=[]))
+        assert not bank.healthy and np.array_equal(bank.scales, np.arange(12) != 3)
+        assert np.all(bank.advance(np.ones(12), 200)[:, 3] == 0.0)
+
     def test_backlash_path_shows_hysteresis(self):
-        bank = ActuatorBank(2, dt=0.001, delay_s=0.0, backlash_on=True)
+        bank = ActuatorBank(2, ActuatorConfig(delay=0.0, backlash=True), dt=0.001)
         up, down = [], []
         for u in np.linspace(0.0, 2.0, 500):
             up.append((u, float(bank.step(np.array([u, u]))[0])))
@@ -249,7 +264,7 @@ class TestSimulator:
 
     def test_gust_drives_loads_without_command(self):
         model = synthesize_wing_model()
-        gust = GustProfile(A_g=1.0, f_g=1.0, d_gw=0.5, V=1.0)
+        gust = GustConfig(a_g=1.0, f_g=1.0, d_gw=0.5, v=1.0, repeat=1)
         sim = WingSimulator(model, gust=gust)
         peaks = []
         for _ in range(2500):
@@ -260,7 +275,7 @@ class TestSimulator:
         def run():
             model = synthesize_wing_model()
             sim = WingSimulator(model, noise=NoiseModel(np.array([1.0, 1.0]), seed=4),
-                                gust=GustProfile(A_g=1.0, f_g=1.0))
+                                gust=GustConfig(a_g=1.0, f_g=1.0, d_gw=0.0, repeat=1))
             return np.array([sim.step(0.1 * np.ones(12)).y_filt for _ in range(500)])
 
         assert np.array_equal(run(), run())
@@ -294,12 +309,12 @@ def per_step(sim, commands):
 
 
 def chain(noise=False, fault=False, backlash=False, delay_s=0.015):
-    bank = ActuatorBank(12, dt=0.001, delay_s=delay_s, backlash_on=backlash)
+    bank = ActuatorBank(12, ActuatorConfig(delay=delay_s, backlash=backlash), dt=0.001)
     if fault:
-        apply_fault(bank)
+        apply_fault(bank, FaultConfig())
     return WingSimulator(synthesize_wing_model(), actuators=bank,
                          noise=NoiseModel(np.array([1.0, 1.0]), seed=5) if noise else None,
-                         gust=GustProfile(A_g=2.0, f_g=3.0, d_gw=0.05, V=1.0, repeat=2))
+                         gust=GustConfig(a_g=2.0, f_g=3.0, d_gw=0.05, v=1.0, repeat=2))
 
 
 class TestBlockSteps:
@@ -332,8 +347,8 @@ class TestBlockSteps:
         # the block's engagement lines are taken at once, then the row loop;
         # bit for bit backlash_step on each servo output row in turn
         rng = np.random.default_rng(4)
-        lash = ActuatorBank(12, backlash_on=True, k1=1.2, k2=0.9)
-        free = ActuatorBank(12)
+        lash = ActuatorBank(12, ActuatorConfig(backlash=True, k1=1.2, k2=0.9))
+        free = ActuatorBank(12, ActuatorConfig())
         tau = np.zeros(12)
         for u, n in zip(8.0 * rng.standard_normal((60, 12)), [15] * 59 + [7]):
             want = []

@@ -1,14 +1,16 @@
 """Benchmark this checkout against a commit: alternating runs, one summary file.
 
-    python3 tools/bench.py --against HEAD~1 --pairs 10 --seconds 50 --out bench.json
+    python3 tools/bench.py --against HEAD~1 --pairs 10 --out bench.json
 
 Exports the tree of --against (git archive) into a temporary directory
 outside the checkout.  Then, for each pair and each workload that
 BENCHMARK.json lists, it runs `python3 benchmark/run.py --workload W
---seconds S --trace 0` (the workload's own seed) once in that tree
-("base") and once in this checkout ("change"), as it is on disk; even
-pairs run the base first, odd pairs the change.  Each run's result is the
-JSON on its last line.
+--seconds S --trace 0` (the workload's own seed; S defaults to
+BENCHMARK.json's run_seconds) once in that tree ("base") and once in this
+checkout ("change"), as it is on disk; even pairs run the base first, odd
+pairs the change.  Each run's result is the JSON on its last line.  The
+change is marked as having uncommitted changes when, before the first run,
+a tracked file under MEASURED differs from the checkout's commit.
 
 The summary file holds the environment, every run's result, and per
 workload and end-to-end metric (BENCHMARK.json says which way is better):
@@ -41,6 +43,8 @@ BLAS_THREADS = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
 MIN_PAIRS = 10
 # ... when at least this share of them goes one way.
 WIN_SHARE = 0.9
+# What the runs and the digests read of a checkout.
+MEASURED = ("src", "benchmark", "tools", "BENCHMARK.json")
 
 
 def quartiles(values):
@@ -127,16 +131,19 @@ def environment():
 
 
 def main():
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--against", required=True, help="the base commit, e.g. HEAD or a hash")
     p.add_argument("--pairs", type=int, default=MIN_PAIRS, help="runs of each tree per workload")
-    p.add_argument("--seconds", type=float, default=50.0, help="benchmark/run.py --seconds")
+    p.add_argument("--seconds", type=float, default=float(spec["run_seconds"]),
+                   help="benchmark/run.py --seconds (default: BENCHMARK.json's run_seconds)")
     p.add_argument("--out", type=Path, required=True, help="the summary file to write")
     args = p.parse_args()
     if args.pairs < 1 or args.seconds <= 0:
         p.error("--pairs must be >= 1 and --seconds > 0")
     os.environ.update(BLAS_THREADS)   # for the runs, and before the digests import numpy
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    commit = git("rev-parse", "HEAD")
+    dirty = bool(git("status", "--porcelain", "--untracked-files=no", "--", *MEASURED))
     metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
     workloads = [w["name"] for w in spec["workloads"]]
 
@@ -168,9 +175,7 @@ def main():
     change_digests = digests.lines()
     report = {
         "base": {"ref": args.against, "commit": base_commit},
-        "change": {"commit": git("rev-parse", "HEAD"),
-                   "uncommitted_changes": bool(git("status", "--porcelain",
-                                                   "--untracked-files=no"))},
+        "change": {"commit": commit, "uncommitted_changes": dirty},
         "settings": {"pairs": args.pairs, "seconds": args.seconds,
                      "min_pairs": MIN_PAIRS, "win_share": WIN_SHARE},
         "environment": environment(),
