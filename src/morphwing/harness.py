@@ -351,8 +351,7 @@ def build_simulator(cfg, model):
     if cfg.noise.enabled:
         noise = NoiseModel(cfg.noise.std * np.ones(2), dt=cfg.dt_plant,
                            seed=cfg.noise.seed, zeta=cfg.noise.zeta, omega=cfg.noise.omega)
-    return WingSimulator(model, actuators=bank, noise=noise,
-                         gust=cfg.gust if cfg.gust.enabled else None, dt=cfg.dt_plant)
+    return WingSimulator(model, actuators=bank, noise=noise, gust=cfg.gust, dt=cfg.dt_plant)
 
 
 def build_controller(cfg, model, basis, limits):

@@ -288,7 +288,8 @@ class WingSimulator:
     without noise it is the modal map alone.  `state` is the map's state
     and `x` its modal part; `t` is the time after the steps taken.
     _next_inputs gives every path its input rows: the angle of gust (a
-    GustConfig, or None) on the running sum of dt and the white noise.  advance() runs
+    GustConfig; none if None or not enabled) on the running sum of dt and
+    the white noise.  advance() runs
     one block through the whole map; a closed-loop run ticks through
     closed_loop() and a run with no controller goes through coast(),
     which both fill one run log (_run_log) with only its rows.
@@ -299,7 +300,7 @@ class WingSimulator:
         self.dt = dt
         self.actuators = actuators or ActuatorBank(model.B.shape[1], ActuatorConfig(), dt)
         self.noise = noise
-        self.gust = gust
+        self.gust = gust if gust is not None and gust.enabled else None
         self.meas_filter = SecondOrderFilter(MEAS_ZETA, MEAS_OMEGA, dt, channels=2)
         n = self._nx = model.A.shape[0]
         aug = np.zeros((2 * n, 2 * n))

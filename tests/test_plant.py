@@ -270,6 +270,9 @@ class TestSimulator:
         for _ in range(2500):
             peaks.append(np.abs(sim.step(np.zeros(12)).y_true).max())
         assert max(peaks) > 1.0
+        # a spec that is not enabled is no gust
+        quiet = WingSimulator(model, gust=GustConfig(enabled=False, a_g=1.0, f_g=1.0, d_gw=0.5))
+        assert quiet.gust is None and not quiet.advance(np.zeros(12), 2500).y_true.any()
 
     def test_runs_are_deterministic(self):
         def run():
