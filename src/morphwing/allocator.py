@@ -112,22 +112,22 @@ class ActiveSetQP:
         W, x, lam, iterations, p = list(warm_start), x0, np.empty(0), 1, None
         Pinv, A_W, R_W, Wi = factor(W)
         if W:
-            lam = Pinv @ v[Wi]
+            lam = np.dot(Pinv, v[Wi])
             if lam.min() >= 0.0:
-                x, iterations = x0 - R_W @ lam, 2
+                x, iterations = x0 - np.dot(R_W, lam), 2
             else:
                 W, lam = [], np.empty(0)
                 Pinv, A_W, R_W, Wi = factor(W)
         while True:
             if W:   # one refinement puts the working rows back on their limits
-                c = Pinv @ (A_W @ x - b[Wi])
-                x, lam = x - R_W @ c, lam + c
+                c = np.dot(Pinv, np.dot(A_W, x) - b[Wi])
+                x, lam = x - np.dot(R_W, c), lam + c
             if p is None:
-                s = A @ x - b
+                s = np.dot(A, x) - b
                 s[Wi] = -np.inf
                 p = int(np.argmax(s))
                 # a violation within rounding of its scale (a working row's twin) holds
-                if s[p] <= _TIGHT * (np.abs(A[p]) @ np.abs(x) + abs(b[p])):
+                if s[p] <= _TIGHT * (np.dot(np.abs(A[p]), np.abs(x)) + abs(b[p])):
                     return x, iterations, tuple(sorted(W)), "Optimal"
                 lam_p = 0.0
             if iterations >= _ITER_CAP:
@@ -135,13 +135,13 @@ class ActiveSetQP:
             iterations += 1
             # raising p's multiplier by t moves x by -t z and keeps the W rows
             # tight; steps[0] makes row p tight, steps[1 + i] zeroes lam[i]
-            r = Pinv @ P[Wi, p]
-            z = R[:, p] - R_W @ r
-            d = A[p] @ z
+            r = np.dot(Pinv, P[Wi, p])
+            z = R[:, p] - np.dot(R_W, r)
+            d = np.dot(A[p], z)
             steps = np.full(len(W) + 1, np.inf)
             # with x.size rows in W a further row is dependent, whatever rounding makes d
             if d > _TIGHT * P[p, p] and len(W) < x.size:
-                steps[0] = (A[p] @ x - b[p]) / d
+                steps[0] = (np.dot(A[p], x) - b[p]) / d
             np.divide(lam, r, out=steps[1:], where=r > _TIGHT)
             j = int(np.argmin(steps))
             t = steps[j]
@@ -155,7 +155,7 @@ class ActiveSetQP:
                 W.append(p)
                 lam, p = np.append(lam, lam_p), None
             Pinv, A_W, R_W, Wi = factor(W)
-        Ax = A @ x
+        Ax = np.dot(A, x)
         over = Ax > b
         alpha = np.clip(np.min(b[over] / Ax[over], initial=1.0), 0.0, 1.0)
         return alpha * x, iterations, tuple(sorted(W)), "IterationCap"
@@ -187,16 +187,28 @@ class CompiledQP:
         self.A = A if Phi is None else A @ Phi
         self.R = np.linalg.solve(self.H, self.A.T)
         self.P = self.A @ self.R
+        self.G = np.vstack([self.M, self.A @ self.M])
+        # G's product lands in y, built once with its views x0 and the tested rows
+        self._y = np.empty(len(self.G))
+        self._x0, self._rows = np.split(self._y, [len(self.M)])
         self.factors = {}
 
     def solve(self, problem, warm_start):
-        """One tick's (x, iterations, active set, status); warm_start seeds the solver."""
-        # np.dot: the same gemv as @, with less dispatch per call
-        b, x0 = problem.ineq.b, np.dot(self.M, problem.target)
-        Ax0 = np.dot(self.A, x0)
-        if np.logical_and.reduce(Ax0 <= b):   # exact: no tolerance accepts a violation
+        """One tick's (x, iterations, active set, status); warm_start seeds the solver.
+
+        One product G t = [M; A M] t gives x0 and the rows tested against b.
+        (A M) t can differ from A (M t) by rounding, so only a row within
+        rounding of its bound can be decided otherwise than by A x0 <= b.  The
+        test itself is exact, and the solver gets v = A x0 - b, formed here."""
+        b = problem.ineq.b
+        np.dot(self.G, problem.target, out=self._y)   # the gemv of @, with less dispatch
+        x0 = self._x0.copy()
+        # every row within its bound: no tolerance accepts a violation, a NaN fails
+        if np.count_nonzero(self._rows <= b) == self._rows.size:
             return x0, 1, (), "Optimal"
-        return _SOLVER.solve(self.A, b, self.R, self.P, x0, Ax0 - b, warm_start, self.factors)
+        v = np.dot(self.A, x0)
+        np.subtract(v, b, out=v)
+        return _SOLVER.solve(self.A, b, self.R, self.P, x0, v, warm_start, self.factors)
 
 
 def allocate_qp(problem, warm_start=(), compiled=None):
@@ -221,8 +233,7 @@ def allocate_qp_virtual(problem, Phi, warm_start=(), compiled=None):
     compiled = compiled or CompiledQP(problem.B_eff, problem.sigma, problem.ineq.A, Phi)
     x, iterations, active, status = compiled.solve(problem, warm_start)
     delta_u = x if Phi is None else np.dot(Phi, x)
-    return AllocationResult(
-        delta_u=delta_u, eps_ca=np.dot(problem.B_eff, delta_u) - problem.target,
-        iterations=iterations, active_set=active, status=status,
-        delta_u_virtual=None if Phi is None else x,
-    )
+    eps_ca = np.dot(problem.B_eff, delta_u)
+    np.subtract(eps_ca, problem.target, out=eps_ca)
+    return AllocationResult(delta_u, eps_ca, iterations, active, status,
+                            None if Phi is None else x)

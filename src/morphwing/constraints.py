@@ -97,10 +97,11 @@ def assemble(limits, u0):
     u_max - u0, u0 - u_min, u_adj -/+ C u0 bit for bit: with every position
     and relative row of b non-negative, u0 is within its bounds, clamping
     it changes nothing and b is taken as first formed.  The rate rows are
-    b_rate > 0 (InputLimits checks), so b.min() tests the others; a NaN is not clamped.
+    b_rate > 0 (InputLimits checks), so b's minimum tests the others; a NaN is not clamped.
     """
-    b = limits.b0 + np.dot(limits.E, u0)
-    if b.min() < 0.0:
+    b = np.dot(limits.E, u0)
+    np.add(b, limits.b0, out=b)   # b0 + E u0: addition commutes bit for bit
+    if np.minimum.reduce(b) < 0.0:
         m = limits.m
         u0 = np.minimum(np.maximum(u0, limits.u_min), limits.u_max)
         b = limits.b0 + limits.E @ u0
@@ -108,7 +109,7 @@ def assemble(limits, u0):
             raise InfeasibleCurrentState(
                 "current command violates a relative-position bound; du = 0 excluded"
             )
-    return LinearInequality(A=limits.A, b=b)
+    return LinearInequality(limits.A, b)
 
 
 def rate_box(limits):

@@ -169,9 +169,9 @@ class IndiController:
                 # the rate box has rows of its own: its QP is compiled on the tick,
                 # starts cold and leaves no warm start for the compiled one
                 ineq, qp, warm = rate_box(self.limits), None, ()
-            problem = AllocationProblem(   # target copied: the next tick overwrites r
-                B_eff=self.B_eff, target=self._target.copy(), sigma=self.sigma, u0=self.u_prev,
-                ineq=ineq)
+            # target copied: the next tick overwrites r
+            problem = AllocationProblem(self.B_eff, self._target.copy(), self.sigma, self.u_prev,
+                                        ineq)
             if self.mode == "qp-v":
                 res = allocate_qp_virtual(problem, self.basis.Phi, warm_start=warm, compiled=qp)
                 self.u_v += res.delta_u_virtual

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteState, NotDetectable, NotStabilizable, NoStabilizingSolution
+from .errors import (
+    DimensionMismatch, NonFiniteState, NotDetectable, NotStabilizable, NoStabilizingSolution)
 from .indi import tick_dtype
 from .numerics import hurwitz_margin, integrate_step, solve_care
 
@@ -160,25 +161,37 @@ class LqgController:
         z1 = z + 0.5 * dt * (g + w)
         u_v = lqr.K_X @ np.vstack([x1, z1]) - lqr.K_r[:, n:] @ r
         self._T = np.vstack([x1, z1, g, u_v, np.asarray(Phi, dtype=float) @ u_v])
-        self._state, self._n = np.zeros(n + 2 * p), n   # x_hat, z_int, the last integrand
         self.limits = limits
         self.u_prev = np.zeros(m)
         self.observes = "x" if kalman is None else "y_raw"
         self.last = np.zeros((), tick_dtype(m, q, p))
+        # views built once, as in IndiController: of the map's input z (its first
+        # n + 2p entries the state x_hat, z_int, the last integrand), of its output
+        # r, and of the record's fields
+        self._z, self._r, self._n = np.zeros(self._T.shape[1]), np.empty(len(self._T)), n
+        self._state, self._z_u, self._z_obs, self._z_r = np.split(
+            self._z, np.cumsum([n + 2 * p, m, sizes[4]]))
+        self._r_state, self._r_u_v, self._r_u = np.split(self._r, np.cumsum([n + 2 * p, q]))
+        self._rec_u, self._rec_u_v = np.split(np.frombuffer(self.last, float, m + q), [m])
+        self._rec_saturated = self.last["saturated"]
+        self._shapes = ((m,), (sizes[4],), (p,))   # u_prev, obs, y_ref: a view write broadcasts
 
     @property
     def x_hat(self):
-        """The state estimate: the observed state in the full-information case."""
-        return self._state[:self._n]
+        """A copy of the state estimate: the observed state in the full-information case."""
+        return self._state[:self._n].copy()
 
     def step(self, obs, y_ref):
         """One controller tick: the observed signal in, a new servo command out."""
-        s, q = self._state.size, self.last["u_v"].size
-        r = np.dot(self._T, np.concatenate((self._state, self.u_prev, obs, y_ref)))
-        if not np.logical_and.reduce(np.isfinite(r[:s])):
+        if (np.shape(self.u_prev), np.shape(obs), np.shape(y_ref)) != self._shapes:
+            raise DimensionMismatch(f"u_prev, obs, y_ref must have shapes {self._shapes}")
+        self._z_u[...], self._z_obs[...], self._z_r[...] = self.u_prev, obs, y_ref
+        np.dot(self._T, self._z, out=self._r)   # the gemv of @, with less dispatch
+        if np.count_nonzero(np.isfinite(self._r_state)) < self._r_state.size:
             raise NonFiniteState("estimator produced non-finite state")
-        self._state, u_v, u = r[:s], r[s:s + q], r[s + q:]
-        u_clamped = np.minimum(np.maximum(u, self.limits.u_min), self.limits.u_max)
-        self.last["u_v"], self.last["saturated"] = u_v, np.logical_or.reduce(u != u_clamped)
-        self.u_prev = self.last["u"] = u_clamped
+        self._state[...] = self._r_state
+        u_clamped = np.minimum(np.maximum(self._r_u, self.limits.u_min), self.limits.u_max)
+        self._rec_u_v[...] = self._r_u_v
+        self._rec_saturated[()] = np.count_nonzero(self._r_u != u_clamped) > 0
+        self.u_prev = self._rec_u[...] = u_clamped
         return u_clamped

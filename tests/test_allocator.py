@@ -7,6 +7,7 @@ from morphwing import allocator, harness, indi
 from morphwing.allocator import (
     ActiveSetQP,
     AllocationProblem,
+    AllocationResult,
     CompiledQP,
     allocate_qp,
     allocate_qp_virtual,
@@ -641,6 +642,42 @@ def test_cached_working_set_factors_change_no_solve(monkeypatch, scenario, contr
         assert 1 < len(orders) <= 6, orders
     else:
         assert len({tuple(sorted(W)) for W in orders}) < len(orders)
+
+
+def reference_seam(problem, Phi=None, warm_start=(), compiled=None):
+    """allocate_qp_virtual one product at a time: M t, then A x0 for the exact
+    test and the solver's v = A x0 - b, then du = Phi x and B du - t."""
+    qp = compiled or CompiledQP(problem.B_eff, problem.sigma, problem.ineq.A, Phi)
+    b, x0 = problem.ineq.b, qp.M @ problem.target
+    v = qp.A @ x0 - b
+    if (v <= 0.0).all():
+        x, iterations, active, status = x0, 1, (), "Optimal"
+    else:
+        x, iterations, active, status = ActiveSetQP().solve(qp.A, b, qp.R, qp.P, x0, v,
+                                                            warm_start)
+    du = x if Phi is None else Phi @ x
+    return AllocationResult(du, problem.B_eff @ du - problem.target, iterations, active, status,
+                            None if Phi is None else x)
+
+
+@pytest.mark.parametrize("controller, binding_ticks", [("indi-qp-v", 108), ("indi-qp", 116)])
+def test_compiled_seam_is_the_one_product_at_a_time_seam(monkeypatch, controller,
+                                                         binding_ticks):
+    # the harsh run through the allocate_qp(_virtual) hook as compiled, and
+    # again through the reference seam: every command, allocation error,
+    # iteration count and binding flag is the same bit for bit.  The compiled
+    # solve reads x0 and its test rows off one stacked product; fed to the
+    # solver, those rows would move the binding ticks' commands
+    cfg = harness.ScenarioConfig.from_dict({"controller": controller, **HARSH})
+    runs = [harness.run_scenario(cfg, pair_open_loop=False)[0]]
+    monkeypatch.setattr(indi, "allocate_qp", lambda problem, warm_start=(), compiled=None:
+                        reference_seam(problem, None, warm_start, compiled))
+    monkeypatch.setattr(indi, "allocate_qp_virtual", reference_seam)
+    runs.append(harness.run_scenario(cfg, pair_open_loop=False)[0])
+    for name in ("u", "eps_ca", "iterations", "sat_flags"):
+        got, want = (np.ascontiguousarray(getattr(log, name)) for log in runs)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+    assert int(runs[0].sat_flags.sum()) == binding_ticks
 
 
 @pytest.mark.parametrize("mode", ["qp-v", "qp"])

@@ -137,6 +137,25 @@ def test_floating_point_error_exits_two_with_one_line(tmp_path, body):
     assert len(lines) == 1 and lines[0].startswith("runtime divergence:"), result.output
 
 
+@pytest.mark.parametrize("repeat", [0, -3])
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_gust_repeat_under_one_exits_one_naming_it(tmp_path, command, repeat):
+    # an enabled gust of no periods used to run with no gust and print nan%, and
+    # sweep blamed the duration it derives; a disabled gust's repeat is unused, so
+    # it loads and runs, but sweep enables the gust and then refuses it
+    msg = f"config error: gust.repeat must be at least 1 when the gust is enabled, got {repeat}"
+    for enabled, run_code in (("true", 1), ("false", 0)):
+        path = tmp_path / "s.yaml"
+        path.write_text(f"duration: 0.5\ngust: {{enabled: {enabled}, repeat: {repeat}}}\n")
+        result = CliRunner().invoke(main, [command, str(path), "--out", str(tmp_path)])
+        assert result.exit_code == (run_code if command == "run" else 1), result.output
+        if result.exit_code:
+            assert isinstance(result.exception, SystemExit)
+            assert result.output.strip().splitlines() == [msg]
+    assert ScenarioConfig.from_dict({"gust": {"enabled": False, "repeat": repeat}}).gust.repeat \
+        == repeat
+
+
 @pytest.mark.parametrize("args, field", [
     (["sweep", "--freqs", "0"], "gust.f_g"),
     (["sweep", "--freqs=-1"], "gust.f_g"),

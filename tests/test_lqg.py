@@ -6,7 +6,7 @@ import scipy.linalg
 
 from morphwing import harness
 from morphwing.constraints import InputLimits
-from morphwing.errors import NonFiniteState, NotDetectable
+from morphwing.errors import DimensionMismatch, NonFiniteState, NotDetectable
 from morphwing.harness import ScenarioConfig, build_model
 from morphwing.indi import tick_dtype
 from morphwing.lqg import (
@@ -348,6 +348,48 @@ def test_tick_map_matches_step_by_step_formulas(kalman):
     if kalman:
         with pytest.raises(NonFiniteState):
             ctrl.step(np.array([np.nan, 0.5]), y_ref)
+
+
+@pytest.mark.parametrize("kalman", [True, False], ids=["kalman", "full-information"])
+@pytest.mark.parametrize("which, value", [
+    ("obs", 0.5), ("obs", [0.5]), ("obs", np.zeros(3)), ("y_ref", 3.0), ("y_ref", np.ones(1)),
+    ("u_prev", np.zeros(1)), ("u_prev", 0.0), ("u_prev", np.zeros(11)),
+])
+def test_step_refuses_wrongly_shaped_inputs(kalman, which, value):
+    # the step writes its inputs into views of the map's input vector, where a
+    # scalar or length-1 value would broadcast; it is refused, and the map
+    # input (the estimate with it) and the record are left as they were
+    model, basis = twin_and_basis()
+    dm = perturb_model(model, rel=0.0)
+    kd = design_kalman(dm, 0.05, 0.01 * np.eye(2), np.zeros(2)) if kalman else None
+    ctrl = LqgController(design_lqr(dm, basis.Phi), dm, basis.Phi, make_limits(), 0.015,
+                         kalman=kd)
+    args = {"obs": np.array([1.0, 0.5]) if kalman else np.full(4, 0.1),
+            "y_ref": np.array([3.0, 1.0])}
+    ctrl.step(**args)
+    z, last = ctrl._z.copy(), ctrl.last.copy()
+    if which == "u_prev":
+        ctrl.u_prev = value
+    else:
+        args[which] = value
+    with pytest.raises(DimensionMismatch, match="shapes"):
+        ctrl.step(**args)
+    assert ctrl._z.tobytes() == z.tobytes() and ctrl.last.tobytes() == last.tobytes()
+
+
+def test_non_finite_estimate_is_refused_and_not_kept():
+    # a NaN observation makes the estimate non-finite: the tick raises and the
+    # controller keeps its last estimate, command and record
+    model, basis = twin_and_basis()
+    dm = perturb_model(model, rel=0.0)
+    ctrl = LqgController(design_lqr(dm, basis.Phi), dm, basis.Phi, make_limits(), 0.015,
+                         kalman=design_kalman(dm, 0.05, 0.01 * np.eye(2), np.zeros(2)))
+    u = ctrl.step(np.array([1.0, 0.5]), np.array([3.0, 1.0]))
+    x_hat, last = ctrl.x_hat, ctrl.last.copy()
+    with pytest.raises(NonFiniteState):
+        ctrl.step(np.array([np.nan, 0.5]), np.array([3.0, 1.0]))
+    assert ctrl.x_hat.tobytes() == x_hat.tobytes() and ctrl.u_prev is u
+    assert ctrl.last.tobytes() == last.tobytes()
 
 
 @pytest.mark.parametrize("kalman", [True, False], ids=["kalman-fy+35%-harsh", "full-information"])
