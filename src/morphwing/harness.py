@@ -21,13 +21,12 @@ from .numerics import pseudo_inverse
 from .plant import (
     DEFAULT_LOCATIONS,
     MEAS_OMEGA,
-    ActuatorBank,
     ActuatorConfig,
     FaultConfig,
     GustConfig,
-    NoiseModel,
+    NoiseConfig,
+    PlantConfig,
     WingSimulator,
-    apply_fault,
     synthesize_wing_model,
 )
 from .shapes import build_basis
@@ -79,32 +78,11 @@ def _from_dict(cls, data, prefix=""):
 
 
 @dataclass
-class PlantConfig:
-    m: int = 12
-    n_modes: int = 2
-    fy_gain: float = 3.36
-    gust_dc: list = field(default_factory=lambda: [9.6, 9.12])
-    mode_freqs: list = field(default_factory=lambda: [5.0, 8.0])
-    mode_damp: float = 0.6
-    dc_split: float = 0.5
-    half_span: float = 1.8
-
-
-@dataclass
 class LimitsConfig:
     position: float = 30.0
     rate: float = 80.0
     adj_even: float = 55.0
     adj_odd: float = 10.0
-
-
-@dataclass
-class NoiseConfig:
-    enabled: bool = False
-    std: float = 1.0
-    seed: int = 100
-    zeta: float = 0.7
-    omega: float = 30.0
 
 
 @dataclass
@@ -339,23 +317,12 @@ def build_limits(cfg):
 
 
 def build_model(cfg):
-    p = cfg.plant
-    return synthesize_wing_model(
-        m=p.m, n_modes=p.n_modes, half_span=p.half_span, fy_gain=p.fy_gain,
-        gust_dc=tuple(p.gust_dc), mode_freqs=np.asarray(p.mode_freqs, dtype=float),
-        mode_damp=np.full(p.n_modes, p.mode_damp), dc_split=p.dc_split,
-    )
+    return synthesize_wing_model(cfg.plant)
 
 
 def build_simulator(cfg, model):
-    bank = ActuatorBank(cfg.plant.m, cfg.actuators, cfg.dt_plant)
-    if cfg.fault.enabled:
-        apply_fault(bank, cfg.fault)
-    noise = None
-    if cfg.noise.enabled:
-        noise = NoiseModel(cfg.noise.std * np.ones(2), dt=cfg.dt_plant,
-                           seed=cfg.noise.seed, zeta=cfg.noise.zeta, omega=cfg.noise.omega)
-    return WingSimulator(model, actuators=bank, noise=noise, gust=cfg.gust, dt=cfg.dt_plant)
+    return WingSimulator(model, actuators=cfg.actuators, fault=cfg.fault, noise=cfg.noise,
+                         gust=cfg.gust, dt=cfg.dt_plant)
 
 
 def build_controller(cfg, model, basis, limits):

@@ -63,10 +63,8 @@ class WingModel:
     locations: np.ndarray
 
 
-def synthesize_wing_model(m=12, n_modes=2, locations=None, half_span=1.8,
-                          fy_gain=2.8, gust_dc=(8.0, 7.6), mode_freqs=None,
-                          mode_damp=None, dc_split=0.5):
-    """Build a wing twin with an exactly known static effectiveness.
+def synthesize_wing_model(spec):
+    """Build a wing twin with an exactly known static effectiveness from a PlantConfig.
 
     Each mode is a damped oscillator feeding one load channel; the
     per-channel modal DC contributions sum to dc_split of the static
@@ -74,24 +72,18 @@ def synthesize_wing_model(m=12, n_modes=2, locations=None, half_span=1.8,
     exactly.  The shear row of B_static is near uniform across servos
     while the moment row scales with the spanwise lever arm.
     """
-    if n_modes < 1:
-        raise BadDimension("need at least one mode")
-    locations = DEFAULT_LOCATIONS if locations is None else np.asarray(locations, dtype=float)
+    m, n_modes, dc_split, locations = spec.m, spec.n_modes, spec.dc_split, DEFAULT_LOCATIONS
+    if n_modes < 1 or len(spec.mode_freqs) != n_modes:
+        raise BadDimension(f"need a frequency for each of n_modes >= 1 modes, "
+                           f"got {spec.mode_freqs!r} for {n_modes}")
     if locations.size != m:
         raise BadDimension(f"need {m} servo locations, got {locations.size}")
     # mild spanwise taper keeps the shear row realistic without breaking
     # the "roughly uniform" structure
-    taper = 1.0 - 0.1 * (locations / half_span - 0.5)
-    f_row = fy_gain * taper
+    taper = 1.0 - 0.1 * (locations / spec.half_span - 0.5)
+    f_row = spec.fy_gain * taper
     m_row = f_row * locations
     B_static = np.vstack([f_row, m_row])
-
-    if mode_freqs is None:
-        mode_freqs = np.geomspace(3.0, 7.0, n_modes) if n_modes > 1 else np.array([3.0])
-    if mode_damp is None:
-        mode_damp = np.full(n_modes, 0.6)
-    mode_freqs = np.asarray(mode_freqs, dtype=float)
-    mode_damp = np.asarray(mode_damp, dtype=float)
 
     channels = [j % 2 for j in range(n_modes)]
     n_per = [channels.count(0), channels.count(1)]
@@ -105,18 +97,18 @@ def synthesize_wing_model(m=12, n_modes=2, locations=None, half_span=1.8,
     B = np.zeros((n, m))
     B_g = np.zeros((n, 1))
     C = np.zeros((2, n))
-    for j, (fj, zj, ch) in enumerate(zip(mode_freqs, mode_damp, channels)):
+    for j, (fj, ch) in enumerate(zip(spec.mode_freqs, channels)):
         wj = 2.0 * np.pi * fj
         i = 2 * j
         A[i, i + 1] = 1.0
         A[i + 1, i] = -wj * wj
-        A[i + 1, i + 1] = -2.0 * zj * wj
+        A[i + 1, i + 1] = -2.0 * spec.mode_damp * wj
         row = B_static[ch]
         B[i + 1, :] = row
         gamma = dc_split / n_per[ch]
         C[ch, i] = gamma * wj * wj
         # gust coupling sized so the channel's static gust gain is exact
-        B_g[i + 1, 0] = gust_dc[ch] / dc_split
+        B_g[i + 1, 0] = spec.gust_dc[ch] / dc_split
 
     if n_per[1] == 0:
         # degenerate single-channel case: moment loads are feedthrough only
@@ -127,6 +119,18 @@ def synthesize_wing_model(m=12, n_modes=2, locations=None, half_span=1.8,
 
 
 # The plant's specs, which are also a scenario's sections (harness.ScenarioConfig).
+@dataclass
+class PlantConfig:
+    m: int = 12
+    n_modes: int = 2
+    fy_gain: float = 3.36
+    gust_dc: list = field(default_factory=lambda: [9.6, 9.12])
+    mode_freqs: list = field(default_factory=lambda: [5.0, 8.0])
+    mode_damp: float = 0.6
+    dc_split: float = 0.5
+    half_span: float = 1.8
+
+
 @dataclass
 class ActuatorConfig:
     zeta: float = SERVO_ZETA
@@ -156,6 +160,15 @@ class FaultConfig:
     enabled: bool = False
     failed: list = field(default_factory=lambda: [8])
     scaled: list = field(default_factory=lambda: [[7, 0.468], [9, 0.7348]])
+
+
+@dataclass
+class NoiseConfig:
+    enabled: bool = False
+    std: float = 1.0
+    seed: int = 100
+    zeta: float = 0.7
+    omega: float = 30.0
 
 
 def gust_angle(gust, t):
@@ -247,18 +260,17 @@ def _white_noise_output_std(filt):
 
 
 class NoiseModel:
-    """Colored measurement noise: seeded white noise through a low-pass
-    shaping filter, normalized so the stationary output std hits the
-    requested per-channel level."""
+    """Colored measurement noise on both load channels: white noise seeded by a
+    NoiseConfig through its low-pass shaping filter, normalized so the
+    stationary output std is the spec's std."""
 
-    def __init__(self, std, dt=DT_PLANT, seed=0, zeta=0.7, omega=30.0):
-        self.std = np.asarray(std, dtype=float)
-        self.rng = np.random.default_rng(seed)
-        self.filter = SecondOrderFilter(zeta, omega, dt, channels=self.std.size)
-        self.gain = self.std / _white_noise_output_std(self.filter)
+    def __init__(self, spec, dt=DT_PLANT):
+        self.rng = np.random.default_rng(spec.seed)
+        self.filter = SecondOrderFilter(spec.zeta, spec.omega, dt, channels=2)
+        self.gain = spec.std / _white_noise_output_std(self.filter)
 
     def step(self):
-        return self.gain * self.filter.step(self.rng.standard_normal(self.std.size))
+        return self.gain * self.filter.step(self.rng.standard_normal(2))
 
 
 @dataclass
@@ -287,19 +299,24 @@ class WingSimulator:
     and the measurement low pass, so it returns [y_true, y_raw, y_filt];
     without noise it is the modal map alone.  `state` is the map's state
     and `x` its modal part; `t` is the time after the steps taken.
-    _next_inputs gives every path its input rows: the angle of gust (a
-    GustConfig; none if None or not enabled) on the running sum of dt and
-    the white noise.  advance() runs
-    one block through the whole map; a closed-loop run ticks through
-    closed_loop() and a run with no controller goes through coast(),
-    which both fill one run log (_run_log) with only its rows.
+    The simulator builds its parts at its own dt from the plant's specs:
+    the actuator bank from an ActuatorConfig (the default one if None),
+    with a FaultConfig's pattern applied, and the noise model of a
+    NoiseConfig.  A fault, noise or gust spec that is None or not enabled
+    is none.  _next_inputs gives every path its input rows: the angle of
+    gust (a GustConfig) on the running sum of dt and the white noise.
+    advance() runs one block through the whole map; a closed-loop run
+    ticks through closed_loop() and a run with no controller goes through
+    coast(), which both fill one run log (_run_log) with only its rows.
     """
 
-    def __init__(self, model, actuators=None, noise=None, gust=None, dt=DT_PLANT):
+    def __init__(self, model, actuators=None, fault=None, noise=None, gust=None, dt=DT_PLANT):
         self.model = model
         self.dt = dt
-        self.actuators = actuators or ActuatorBank(model.B.shape[1], ActuatorConfig(), dt)
-        self.noise = noise
+        self.actuators = ActuatorBank(model.B.shape[1], actuators or ActuatorConfig(), dt)
+        if fault is not None and fault.enabled:
+            apply_fault(self.actuators, fault)
+        self.noise = NoiseModel(noise, dt) if noise is not None and noise.enabled else None
         self.gust = gust if gust is not None and gust.enabled else None
         self.meas_filter = SecondOrderFilter(MEAS_ZETA, MEAS_OMEGA, dt, channels=2)
         n = self._nx = model.A.shape[0]
@@ -311,8 +328,8 @@ class WingSimulator:
         Dd = model.C @ Bd
         Dd[:, :-1] += model.D
         post = (Ad, Bd, model.C @ Ad, Dd)
-        if noise is not None:
-            post = _measured(post, noise, self.meas_filter)
+        if self.noise is not None:
+            post = _measured(post, self.noise, self.meas_filter)
         self.post = BlockMap(*post)
         self.state = np.zeros(len(self.post.Ad))
         self.t = 0.0
@@ -394,7 +411,7 @@ class WingSimulator:
             x[...] = states[t]
             np.dot(kept[r], z, out=out)
             t += 1
-            if not np.logical_and.reduce(np.isfinite(states[t])):
+            if np.count_nonzero(np.isfinite(states[t])) < ns:
                 raise NonFiniteState("plant block produced non-finite state")
             if t % chunk == 0 or t == ticks:
                 # the chunk's last u_eff and gust angle of each tick, before a refill
@@ -472,7 +489,7 @@ class WingSimulator:
         if self.gust is not None:
             U[:steps, m] = gust_angle(self.gust, times[:-1])
         if self.noise is not None:
-            U[:steps, m + 1:] = self.noise.rng.standard_normal((steps, self.noise.std.size))
+            U[:steps, m + 1:] = self.noise.rng.standard_normal((steps, U.shape[1] - m - 1))
         return U
 
 
@@ -495,7 +512,7 @@ def _measured(modal, noise, meas):
     sh, lp = noise.filter.blocks, meas.blocks
     As, Bs, Cs, Ds = (np.kron(M, np.eye(p)) for M in (sh.Ad, sh.Bd, sh.Cd, sh.Dd))
     Al, Bl, Cl, Dl = (np.kron(M, np.eye(p)) for M in (lp.Ad, lp.Bd, lp.Cd, lp.Dd))
-    Cs, Ds = noise.gain[:, None] * Cs, noise.gain[:, None] * Ds
+    Cs, Ds = noise.gain * Cs, noise.gain * Ds
     ns, nl, O = len(As), len(Al), np.zeros
     # y_raw over the states [x, s] and the inputs [u_eff, alpha, w]
     Craw, Draw = np.hstack([Cm, Cs]), np.hstack([Dm, Ds])

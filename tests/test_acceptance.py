@@ -23,7 +23,7 @@ from morphwing.harness import (
     run_scenario,
 )
 from morphwing.numerics import integrate_step, pseudo_inverse, solve_care, solve_lyapunov
-from morphwing.plant import ActuatorBank, ActuatorConfig, synthesize_wing_model
+from morphwing.plant import ActuatorBank, ActuatorConfig, PlantConfig, synthesize_wing_model
 from morphwing.shapes import build_basis
 
 from test_allocator import make_problem, nnls_objective, qp_objective
@@ -252,7 +252,7 @@ def test_criterion_09_bound_certificates(mla30, mla35, comparison_runs):
 
 
 def test_criterion_10_backlash_hysteresis():
-    model = synthesize_wing_model()
+    model = synthesize_wing_model(PlantConfig())
 
     def load_gap(deadband):
         bank = ActuatorBank(12, ActuatorConfig(backlash=True, u_f_plus=deadband,

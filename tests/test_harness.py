@@ -115,6 +115,15 @@ class TestConfig:
         assert bank.depth == 22
         assert bank.servo.Ad.shape == (24, 24)
 
+    def test_model_is_built_from_the_plant_section_alone(self):
+        # one set of defaults: the plant's spec as it stands is the scenario's twin
+        from morphwing import harness, plant
+
+        assert harness.PlantConfig is plant.PlantConfig and harness.NoiseConfig is plant.NoiseConfig
+        built, bare = build_model(ScenarioConfig()), plant.synthesize_wing_model(plant.PlantConfig())
+        for f in fields(built):
+            assert np.array_equal(getattr(built, f.name), getattr(bare, f.name)), f.name
+
     def test_presets_are_valid(self):
         assert mla_config("fy+30%").gust.enabled is False
         assert mla_config("fy+35%").command.profile == "fy+35%"

@@ -17,7 +17,7 @@ from morphwing.lqg import (
     perturb_model,
 )
 from morphwing.numerics import care_residual, hurwitz_margin, integrate_step
-from morphwing.plant import synthesize_wing_model
+from morphwing.plant import PlantConfig, synthesize_wing_model
 from morphwing.shapes import build_basis
 
 SQRT2 = np.sqrt(2.0)
@@ -30,9 +30,7 @@ def scalar_model():
 
 
 def twin_and_basis():
-    model = synthesize_wing_model(fy_gain=3.36, gust_dc=(9.6, 9.12),
-                                  mode_freqs=[5.0, 8.0], mode_damp=[0.6, 0.6],
-                                  dc_split=0.5)
+    model = synthesize_wing_model(PlantConfig())
     return model, build_basis(model.locations, 1.8, 5)
 
 

@@ -11,7 +11,9 @@ from morphwing.plant import (
     ActuatorConfig,
     FaultConfig,
     GustConfig,
+    NoiseConfig,
     NoiseModel,
+    PlantConfig,
     WingSimulator,
     apply_fault,
     gust_angle,
@@ -34,32 +36,32 @@ def backlash_step(tau, u, k1, k2, u_f_plus, u_f_minus):
 
 class TestWingModel:
     def test_default_shapes_and_stability(self):
-        model = synthesize_wing_model()
+        model = synthesize_wing_model(PlantConfig())
         assert model.A.shape == (4, 4)
         assert model.B.shape == (4, 12)
         assert model.C.shape == (2, 4)
         assert hurwitz_margin(model.A) < 0.0
 
     def test_static_gain_matches_construction_exactly(self):
-        model = synthesize_wing_model()
+        model = synthesize_wing_model(PlantConfig())
         dc = model.C @ np.linalg.solve(-model.A, model.B) + model.D
         assert np.allclose(dc, model.B_static, atol=1e-10)
 
     def test_static_gain_full_row_rank(self):
-        model = synthesize_wing_model()
+        model = synthesize_wing_model(PlantConfig())
         assert np.linalg.matrix_rank(model.B_static) == 2
 
     def test_moment_row_grows_with_span_location(self):
-        model = synthesize_wing_model()
+        model = synthesize_wing_model(PlantConfig())
         assert np.all(np.diff(model.B_static[1]) > 0.0)
 
     def test_gust_static_gain_is_configured_value(self):
-        model = synthesize_wing_model(gust_dc=(8.0, 7.6))
+        model = synthesize_wing_model(PlantConfig(gust_dc=[8.0, 7.6]))
         dc = model.C @ np.linalg.solve(-model.A, model.B_g)
         assert np.allclose(dc[:, 0], [8.0, 7.6], atol=1e-10)
 
     def test_free_response_decays(self):
-        model = synthesize_wing_model()
+        model = synthesize_wing_model(PlantConfig())
         sim = WingSimulator(model)
         sim.x = np.array([1.0, 0.0, 1.0, 0.0])
         n0 = np.linalg.norm(sim.x)
@@ -69,7 +71,13 @@ class TestWingModel:
 
     def test_location_count_must_match(self):
         with pytest.raises(BadDimension):
-            synthesize_wing_model(m=12, locations=np.linspace(0.1, 1.8, 5))
+            synthesize_wing_model(PlantConfig(m=5))
+
+    @pytest.mark.parametrize("n_modes", [0, 3])
+    def test_one_frequency_per_mode(self, n_modes):
+        # zip would drop a mode with no frequency and leave its rows of A zero
+        with pytest.raises(BadDimension):
+            synthesize_wing_model(PlantConfig(n_modes=n_modes))
 
 
 class TestDeadbandMaps:
@@ -214,23 +222,24 @@ class TestActuators:
 
 class TestNoise:
     def test_seeded_sequences_reproduce(self):
-        n1 = NoiseModel(np.array([1.0, 1.0]), seed=7)
-        n2 = NoiseModel(np.array([1.0, 1.0]), seed=7)
+        n1 = NoiseModel(NoiseConfig(enabled=True, seed=7))
+        n2 = NoiseModel(NoiseConfig(enabled=True, seed=7))
         s1 = np.array([n1.step() for _ in range(200)])
         s2 = np.array([n2.step() for _ in range(200)])
         assert np.array_equal(s1, s2)
 
-    def test_stationary_std_matches_request(self):
-        noise = NoiseModel(np.array([2.0, 0.5]), seed=1)
+    @pytest.mark.parametrize("std", [2.0, 0.5])
+    def test_stationary_std_matches_request(self, std):
+        noise = NoiseModel(NoiseConfig(enabled=True, std=std, seed=1))
         samples = np.array([noise.step() for _ in range(60000)])
         stds = samples[5000:].std(axis=0)
-        assert np.allclose(stds, [2.0, 0.5], rtol=0.05)
+        assert np.allclose(stds, [std, std], rtol=0.05)
 
     def test_measurement_filter_attenuates_noise_variance(self):
         # analytic power ratio of the 10 rad/s measurement low pass on
         # the default colored spectrum (shaping at 30 rad/s) is 0.285:
         # integrate |H_meas|^2 S / integrate S over the shaped spectrum
-        noise = NoiseModel(np.array([1.0, 1.0]), seed=2)
+        noise = NoiseModel(NoiseConfig(enabled=True, seed=2))
         meas = SecondOrderFilter(0.8, 10.0, 0.001, channels=2)
         raw, filt = [], []
         for _ in range(40000):
@@ -246,16 +255,16 @@ class TestNoise:
 
 class TestSimulator:
     def test_measurement_filter_defaults_follow_noise(self):
-        model = synthesize_wing_model()
+        model = synthesize_wing_model(PlantConfig())
         clean = WingSimulator(model)
-        noisy = WingSimulator(model, noise=NoiseModel(np.array([1.0, 1.0]), seed=0))
+        noisy = WingSimulator(model, noise=NoiseConfig(enabled=True, seed=0))
         out = clean.step(np.ones(12))
         assert np.array_equal(out.y_filt, out.y_raw)
         out = noisy.step(np.ones(12))
         assert not np.array_equal(out.y_filt, out.y_raw)
 
     def test_step_response_reaches_static_gain(self):
-        model = synthesize_wing_model()
+        model = synthesize_wing_model(PlantConfig())
         sim = WingSimulator(model)
         u = 0.5 * np.ones(12)
         for _ in range(4000):
@@ -263,7 +272,7 @@ class TestSimulator:
         assert np.allclose(out.y_true, model.B_static @ u, rtol=1e-4)
 
     def test_gust_drives_loads_without_command(self):
-        model = synthesize_wing_model()
+        model = synthesize_wing_model(PlantConfig())
         gust = GustConfig(a_g=1.0, f_g=1.0, d_gw=0.5, v=1.0, repeat=1)
         sim = WingSimulator(model, gust=gust)
         peaks = []
@@ -274,10 +283,27 @@ class TestSimulator:
         quiet = WingSimulator(model, gust=GustConfig(enabled=False, a_g=1.0, f_g=1.0, d_gw=0.5))
         assert quiet.gust is None and not quiet.advance(np.zeros(12), 2500).y_true.any()
 
+    def test_disabled_noise_and_fault_specs_are_none(self):
+        # as for the gust, a spec that is not enabled is no noise and no fault
+        model = synthesize_wing_model(PlantConfig())
+        quiet = WingSimulator(model, noise=NoiseConfig(enabled=False, std=5.0))
+        assert quiet.noise is None
+        u = np.linspace(-3.0, 3.0, 12)
+        out, clean = quiet.advance(u, 400), WingSimulator(model).advance(u, 400)
+        for name in ("y_true", "y_raw", "y_filt", "alpha_g", "u_eff"):
+            assert np.array_equal(getattr(out, name), getattr(clean, name))
+        healthy = WingSimulator(model, fault=FaultConfig(enabled=False)).actuators
+        assert healthy.healthy and np.array_equal(healthy.scales, np.ones(12))
+        faulted = WingSimulator(model, fault=FaultConfig(enabled=True)).actuators
+        assert not faulted.healthy
+        assert np.array_equal(faulted.scales, apply_fault(ActuatorBank(12, ActuatorConfig()),
+                                                          FaultConfig()).scales)
+        assert faulted.scales[8] == 0.0 and faulted.scales[7] == 0.468
+
     def test_runs_are_deterministic(self):
         def run():
-            model = synthesize_wing_model()
-            sim = WingSimulator(model, noise=NoiseModel(np.array([1.0, 1.0]), seed=4),
+            model = synthesize_wing_model(PlantConfig())
+            sim = WingSimulator(model, noise=NoiseConfig(enabled=True, seed=4),
                                 gust=GustConfig(a_g=1.0, f_g=1.0, d_gw=0.0, repeat=1))
             return np.array([sim.step(0.1 * np.ones(12)).y_filt for _ in range(500)])
 
@@ -312,11 +338,10 @@ def per_step(sim, commands):
 
 
 def chain(noise=False, fault=False, backlash=False, delay_s=0.015):
-    bank = ActuatorBank(12, ActuatorConfig(delay=delay_s, backlash=backlash), dt=0.001)
-    if fault:
-        apply_fault(bank, FaultConfig())
-    return WingSimulator(synthesize_wing_model(), actuators=bank,
-                         noise=NoiseModel(np.array([1.0, 1.0]), seed=5) if noise else None,
+    return WingSimulator(synthesize_wing_model(PlantConfig()),
+                         actuators=ActuatorConfig(delay=delay_s, backlash=backlash),
+                         fault=FaultConfig(enabled=fault),
+                         noise=NoiseConfig(enabled=noise, seed=5),
                          gust=GustConfig(a_g=2.0, f_g=3.0, d_gw=0.05, v=1.0, repeat=2))
 
 
