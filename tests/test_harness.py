@@ -469,19 +469,22 @@ def test_ticked_and_lifted_runs_fill_one_log(cfg):
 
 
 def test_non_finite_plant_state_raises_on_its_tick(monkeypatch):
-    # a NaN command on tick 10 makes that tick's plant state non-finite; the
-    # run stops there, before the controller's next step
+    # a NaN or inf command on tick 10 makes that tick's plant state non-finite;
+    # the run stops there, before the controller's next step
     calls, step = [], IndiController.step
 
-    def nan_on_tick_10(ctrl, y_meas, y_ref):
-        u = step(ctrl, y_meas, y_ref)
-        calls.append(None)
-        return np.full_like(u, np.nan) if len(calls) == 11 else u
+    def bad_on_tick_10(bad):
+        def stepped(ctrl, y_meas, y_ref):
+            u = step(ctrl, y_meas, y_ref)
+            calls.append(None)
+            return np.full_like(u, bad) if len(calls) == 11 else u
+        return stepped
 
-    monkeypatch.setattr(IndiController, "step", nan_on_tick_10)
-    for noise in (False, True):
+    for noise, bad in ((False, np.nan), (True, np.nan), (False, np.inf)):
         calls.clear()
-        with pytest.raises(NonFiniteState):
+        monkeypatch.setattr(IndiController, "step", bad_on_tick_10(bad))
+        # an inf command meets the delay map's zeros: inf * 0 is NaN
+        with pytest.raises(NonFiniteState), np.errstate(invalid="ignore"):
             _simulate(closed_loop_cfg(duration=1.0, noise={"enabled": noise}))
         assert len(calls) == 11
 
